@@ -264,6 +264,9 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    if args.max_degree < 0:
+        print("error: --max-degree must be >= 0", file=sys.stderr)
+        return 2
     results = list(run_selfcheck(args.max_degree))
     lines = [
         f"{'ok  ' if ok else 'FAIL'} {name}" for name, ok in results

@@ -202,6 +202,16 @@ def print_helem(a: HElem) -> str:
     return out
 
 
+def _parse_coeff(text: str, position: int) -> Scalar:
+    """The rational ``text`` ("p" or "p/q"), which starts at ``position``
+    of the input."""
+    num, _, den = text.partition("/")
+    if den and not int(den):
+        raise ForestSyntaxError("zero denominator", position + len(num) + 1)
+    coeff = Fraction(text)
+    return int(coeff) if coeff.denominator == 1 else coeff
+
+
 def parse_helem(text: str) -> HElem:
     """Parse the signed-term text form of an HElem."""
     s = text.strip()
@@ -209,39 +219,39 @@ def parse_helem(text: str) -> HElem:
         raise ForestSyntaxError("empty element text", 0)
     if s == "0":
         return HElem.zero()
+    offset = len(text) - len(text.lstrip())
     # split at top level on +/-; forest text never contains these
-    pieces: list[tuple[int, str]] = []  # (sign, term text)
+    pieces: list[tuple[int, int, str]] = []  # (sign, start in text, term text)
     sign = 1
     cur = ""
-    for ch in s:
+    start = 0
+    for i, ch in enumerate(s):
         if ch in "+-":
             if cur.strip():
-                pieces.append((sign, cur))
+                pieces.append((sign, start, cur))
                 sign = 1
             sign *= -1 if ch == "-" else 1
             cur = ""
+            start = i + 1
         else:
             cur += ch
     if cur.strip():
-        pieces.append((sign, cur))
+        pieces.append((sign, start, cur))
     elif not pieces:
         raise ForestSyntaxError("dangling sign", len(s) - 1)
     out = HElem.zero()
-    for sg, term in pieces:
+    for sg, start, term in pieces:
+        term_start = offset + start + len(term) - len(term.lstrip())
         term = term.strip()
         if "*" in term:
             coeff_text, forest_text = term.split("*", 1)
             coeff_text = coeff_text.strip()
             if not _RATIONAL_RE.match(coeff_text):
                 raise ForestSyntaxError(f"bad coefficient {coeff_text!r}", 0)
-            coeff: Scalar = Fraction(coeff_text)
-            if coeff.denominator == 1:
-                coeff = int(coeff)
+            coeff = _parse_coeff(coeff_text, term_start)
             f = parse_forest(forest_text)
         elif _RATIONAL_RE.match(term):
-            coeff = Fraction(term)
-            if coeff.denominator == 1:
-                coeff = int(coeff)
+            coeff = _parse_coeff(term, term_start)
             f = EMPTY_FOREST
         else:
             coeff = 1

@@ -1,8 +1,10 @@
 """Exact linear algebra and the degree-graded basis analysis.
 
-``RationalMatrix`` does plain Gaussian elimination over Q with Fraction
-entries; ``BitMatrix`` packs rows into Python ints for elimination over
-GF(2). On top of these sit the basis family (grown from the empty forest
+``RationalMatrix`` holds exact ``Fraction`` entries and eliminates them
+fraction-free over the integers (Bareiss), so its ranks, reduced echelon
+forms, solutions and kernels are exact ``Fraction`` results computed without
+a gcd per step; ``BitMatrix`` packs rows into Python ints for elimination
+over GF(2). On top of these sit the basis family (grown from the empty forest
 by grafting and by multiplying with the leaf), the change-of-basis matrix
 to the y-ending word basis, and per-degree kernel computation.
 """
@@ -11,8 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
-from .diamond import sigma_forest
+from .diamond import sigma, sigma_forest
 from .hopf import HElem
 from .trees import EMPTY_FOREST, Forest, LEAF, bplus, enumerate_forests, forest_product
 from .words import Poly
@@ -39,30 +42,52 @@ class RationalMatrix:
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix([list(col) for col in zip(*self.entries)] if self.entries else [])
 
-    def rref(self) -> tuple["RationalMatrix", list[int]]:
-        """Reduced row-echelon form and the pivot column indices."""
-        m = [row[:] for row in self.entries]
+    def _fraction_free_rref(self) -> tuple[list[list[int]], list[int], int]:
+        """Fraction-free Gauss-Jordan elimination (Bareiss) over the integers.
+
+        Each row is first scaled by the lcm of its denominators, which
+        changes neither the rank, the pivots nor the RREF. Returns the
+        eliminated integer rows, the pivot columns and the last pivot D: the
+        RREF is every entry divided by D, since every pivot entry ends equal
+        to D (D = 1 when there is no pivot).
+        """
+        m = []
+        for row in self.entries:
+            scale = lcm(*(e.denominator for e in row))
+            m.append([e.numerator * (scale // e.denominator) for e in row])
         pivots: list[int] = []
+        prev = 1
         r = 0
         for c in range(self.cols):
             pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
             if pivot_row is None:
                 continue
             m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [e * inv for e in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][c]:
-                    factor = m[i][c]
-                    m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+            top = m[r]
+            p = top[c]
+            for i, row in enumerate(m):
+                if i == r:
+                    continue
+                a = row[c]
+                # exact divisions, by Sylvester's identity
+                if a:
+                    m[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+                else:
+                    m[i] = [p * x // prev for x in row]
+            prev = p
             pivots.append(c)
             r += 1
             if r == len(m):
                 break
-        return RationalMatrix(m), pivots
+        return m, pivots, prev
+
+    def rref(self) -> tuple["RationalMatrix", list[int]]:
+        """Reduced row-echelon form and the pivot column indices."""
+        m, pivots, d = self._fraction_free_rref()
+        return RationalMatrix([[Fraction(x, d) for x in row] for row in m]), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self._fraction_free_rref()[1])
 
     def solve(self, rhs: list[Fraction | int]) -> list[Fraction]:
         """Solve A v = rhs; requires a unique solution."""
@@ -71,27 +96,27 @@ class RationalMatrix:
         augmented = RationalMatrix(
             [row + [Fraction(b)] for row, b in zip(self.entries, rhs)]
         )
-        red, pivots = augmented.rref()
+        m, pivots, d = augmented._fraction_free_rref()
         if self.cols in pivots:
             raise ValueError("inconsistent system")
         if len(pivots) != self.cols:
             raise ValueError("system is underdetermined")
         sol = [Fraction(0)] * self.cols
         for r, c in enumerate(pivots):
-            sol[c] = red.entries[r][self.cols]
+            sol[c] = Fraction(m[r][self.cols], d)
         return sol
 
     def nullspace(self) -> list[list[Fraction]]:
         """Basis of the right kernel, one vector per free column, in
         ascending free-column order; free entries normalized to 1."""
-        red, pivots = self.rref()
+        m, pivots, d = self._fraction_free_rref()
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
         for fc in free:
             v = [Fraction(0)] * self.cols
             v[fc] = Fraction(1)
             for r, pc in enumerate(pivots):
-                v[pc] = -red.entries[r][fc]
+                v[pc] = Fraction(-m[r][fc], d)
             basis.append(v)
         return basis
 
@@ -176,6 +201,10 @@ def basis_matrix(d: int) -> RationalMatrix:
 
 
 def check_mod2_invertible(d: int) -> bool:
+    """True if the integer basis matrix is invertible over GF(2).
+
+    This implies full rank over Q: the determinant is an integer that is
+    odd, hence nonzero."""
     return basis_matrix(d).mod2().is_invertible()
 
 
@@ -188,10 +217,7 @@ def decompose(f: HElem, d: int) -> dict[Forest, Fraction]:
     if deg is None or (not f.is_zero() and deg != d):
         raise ValueError(f"input is not {d}-homogeneous")
     wbasis = words_ending_in_y(d)
-    target = Poly.zero()
-    for forest, c in f.terms.items():
-        target = target + c * sigma_forest(forest)
-    sol = basis_matrix(d).transpose().solve(_word_coeffs(target, wbasis))
+    sol = basis_matrix(d).transpose().solve(_word_coeffs(sigma(f), wbasis))
     return dict(zip(basis_forests(d), sol))
 
 

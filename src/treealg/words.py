@@ -196,7 +196,10 @@ def parse_poly(text: str) -> Poly:
                 m = k
                 while m < n and s[m].isdigit():
                     m += 1
-                coeff = Fraction(num, int(s[k:m]))
+                den = int(s[k:m])
+                if not den:
+                    raise PolySyntaxError("zero denominator", k)
+                coeff = Fraction(num, den)
                 if coeff.denominator == 1:
                     coeff = int(coeff)
                 i = m

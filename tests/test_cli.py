@@ -116,6 +116,31 @@ class TestErrors:
         assert code == 2
         assert "error" in err
 
+    def test_zero_denominator_in_element(self, capsys):
+        code, _, err = invoke(capsys, "sigma", "2/0*[]")
+        assert code == 2
+        assert "zero denominator (at position 2)" in err
+
+    def test_zero_denominator_in_later_element_term(self, capsys):
+        code, _, err = invoke(capsys, "sigma", "[] - 3/00*[[]]")
+        assert code == 2
+        assert "zero denominator (at position 7)" in err
+
+    def test_zero_denominator_constant_element_term(self, capsys):
+        code, _, err = invoke(capsys, "sigma", "[] + 1/0")
+        assert code == 2
+        assert "zero denominator (at position 7)" in err
+
+    def test_zero_denominator_in_poly(self, capsys):
+        code, _, err = invoke(capsys, "diamond", "x", "1/0")
+        assert code == 2
+        assert "zero denominator (at position 2)" in err
+
+    def test_zero_denominator_in_later_poly_term(self, capsys):
+        code, _, err = invoke(capsys, "apply", "[]", "x - 5/ 0y")
+        assert code == 2
+        assert "zero denominator (at position 7)" in err
+
 
 class TestDeterminism:
     def test_identical_invocations(self, capsys):
@@ -129,3 +154,9 @@ class TestSelfcheck:
         code, out, _ = invoke(capsys, "selfcheck", "--max-degree", "3")
         assert code == 0
         assert out.splitlines()[-1] == "selfcheck passed"
+
+    def test_rejects_negative_max_degree(self, capsys):
+        code, out, err = invoke(capsys, "selfcheck", "--max-degree", "-3")
+        assert code == 2
+        assert out == ""
+        assert "--max-degree must be >= 0" in err

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from treealg import (
     BitMatrix,
@@ -33,6 +34,13 @@ class TestRationalMatrix:
         m = RationalMatrix([[2, 0], [1, 1]])
         assert m.solve([4, 3]) == [Fraction(2), Fraction(1)]
 
+    def test_solve_fractional_rhs(self):
+        m = RationalMatrix([[2, 1], [Fraction(1, 3), -1]])
+        assert m.solve([Fraction(1, 2), Fraction(-2, 3)]) == [
+            Fraction(-1, 14),
+            Fraction(9, 14),
+        ]
+
     def test_solve_rejects_singular(self):
         with pytest.raises(ValueError):
             RationalMatrix([[1, 1], [1, 1]]).solve([1, 2])
@@ -45,6 +53,101 @@ class TestRationalMatrix:
     def test_mod2_requires_integers(self):
         with pytest.raises(ValueError):
             RationalMatrix([[Fraction(1, 2)]]).mod2()
+
+
+def reference_rref(rows, cols):
+    """Plain Fraction Gauss-Jordan elimination, the reference that the
+    fraction-free elimination must reproduce exactly."""
+    m = [[Fraction(e) for e in row] for row in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        m[r] = [e / m[r][c] for e in m[r]]
+        for i in range(len(m)):
+            factor = m[i][c]
+            if i != r and factor:
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+small_rationals = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+)
+
+
+@st.composite
+def matrices(draw):
+    """0-8 rows by 1-8 columns (wide and tall). Rows past the first few
+    independent draws are combinations of earlier rows or all-zero rows,
+    which makes many of the matrices rank-deficient."""
+    cols = draw(st.integers(1, 8))
+    n = draw(st.integers(0, 8))
+    rows = draw(
+        st.lists(
+            st.lists(small_rationals, min_size=cols, max_size=cols),
+            max_size=n,
+        )
+    )
+    while len(rows) < n:
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = draw(small_rationals), draw(small_rationals)
+            rows.append([x * u + y * v for u, v in zip(a, b)])
+        else:
+            rows.append([0] * cols)
+    return RationalMatrix(draw(st.permutations(rows)))
+
+
+def times(m, v):
+    return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in m.entries]
+
+
+class TestEliminationAgainstReference:
+    @given(matrices())
+    def test_rank(self, m):
+        assert m.rank() == len(reference_rref(m.entries, m.cols)[1])
+
+    @given(matrices())
+    def test_rref(self, m):
+        red, pivots = m.rref()
+        assert (red.entries, pivots) == reference_rref(m.entries, m.cols)
+
+    @given(matrices())
+    def test_nullspace(self, m):
+        red, pivots = reference_rref(m.entries, m.cols)
+        expected = []
+        for fc in (c for c in range(m.cols) if c not in pivots):
+            v = [Fraction(0)] * m.cols
+            v[fc] = Fraction(1)
+            for r, pc in enumerate(pivots):
+                v[pc] = -red[r][fc]
+            expected.append(v)
+        basis = m.nullspace()
+        assert basis == expected
+        assert all(not any(times(m, v)) for v in basis)
+
+    @given(matrices(), st.data())
+    def test_solve(self, m, data):
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(small_rationals, min_size=m.cols, max_size=m.cols))
+            rhs = times(m, x)
+        else:
+            rhs = data.draw(st.lists(small_rationals, min_size=m.rows, max_size=m.rows))
+        augmented = [row + [Fraction(b)] for row, b in zip(m.entries, rhs)]
+        red, pivots = reference_rref(augmented, m.cols + 1)
+        if pivots != list(range(m.cols)):
+            with pytest.raises(ValueError):
+                m.solve(rhs)
+            return
+        sol = m.solve(rhs)
+        assert sol == [red[r][m.cols] for r in range(m.cols)]
+        assert times(m, sol) == rhs
 
 
 class TestBitMatrix:

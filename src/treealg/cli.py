@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .hopf import HElem, coproduct, parse_helem, print_helem, print_tensor
 from .diamond import diamond, sigma
@@ -89,10 +88,6 @@ def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict) -> Non
             print(line)
 
 
-def _coeff_str(c) -> str:
-    return str(c)
-
-
 def _cmd_trees(args) -> int:
     ts = enumerate_trees(args.degree)
     if args.count_only:
@@ -138,7 +133,7 @@ def _cmd_coproduct(args) -> int:
             "input": print_helem(elem),
             "result": text,
             "terms": [
-                {"left": f1.encoding, "right": f2.encoding, "coeff": _coeff_str(c)}
+                {"left": f1.encoding, "right": f2.encoding, "coeff": str(c)}
                 for (f1, f2), c in sorted(
                     result.terms.items(),
                     key=lambda kv: (-kv[0][0].degree, kv[0][0].encoding, kv[0][1].encoding),
@@ -213,8 +208,8 @@ def _cmd_basis(args) -> int:
     }
     if args.matrix:
         mat = basis_matrix(args.degree)
-        lines += [" ".join(_coeff_str(e) for e in row) for row in mat.entries]
-        payload["matrix"] = [[_coeff_str(e) for e in row] for row in mat.entries]
+        lines += [" ".join(str(e) for e in row) for row in mat.entries]
+        payload["matrix"] = [[str(e) for e in row] for row in mat.entries]
     if args.check_mod2:
         ok = check_mod2_invertible(args.degree)
         lines.append(f"mod2_invertible: {ok}")
@@ -231,7 +226,7 @@ def _cmd_decompose(args) -> int:
         return 2
     coeffs = decompose(elem, d)
     lines = [
-        f"{u.encoding}: {_coeff_str(c)}" for u, c in coeffs.items()
+        f"{u.encoding}: {c}" for u, c in coeffs.items()
     ]
     _emit(
         args,
@@ -239,7 +234,7 @@ def _cmd_decompose(args) -> int:
         {
             "input": print_helem(elem),
             "degree": d,
-            "coefficients": {u.encoding: _coeff_str(c) for u, c in coeffs.items()},
+            "coefficients": {u.encoding: str(c) for u, c in coeffs.items()},
         },
     )
     return 0

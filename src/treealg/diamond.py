@@ -11,50 +11,53 @@ The diamond product is defined on words by recursion on last letters:
 and extended bilinearly. ``sigma`` sends a forest to its polynomial value:
 the leaf goes to y, grafting acts by the degree-raising operator, and a
 product of trees goes to the diamond product of their values.
+
+Every sum accumulates in place into one fresh dict (``lincomb.add_into``);
+memoized word products and tree values are never mutated.
 """
 from __future__ import annotations
 
 from .hopf import HElem
+from .lincomb import Scalar, add_into
 from .trees import Forest, LEAF, Tree
 from .words import Poly, Y, op_R
 
 _DIAMOND_CACHE: dict[tuple[str, str], Poly] = {}
-
-
-def _append(p: Poly, letter: str) -> Poly:
-    return Poly({w + letter: c for w, c in p.terms.items()})
+_FLIP = {"x": "y", "y": "x"}
 
 
 def _diamond_words(a: str, b: str) -> Poly:
     """Diamond product of two single words."""
     if not a:
-        return Poly.from_word(b)
+        return Poly._wrap({b: 1})
     if not b:
-        return Poly.from_word(a)
+        return Poly._wrap({a: 1})
     cached = _DIAMOND_CACHE.get((a, b))
     if cached is not None:
         return cached
     v, p = a[:-1], a[-1]
     w, q = b[:-1], b[-1]
-    if p == "x" and q == "x":
-        out = _append(_diamond_words(v, b), "x") - _append(_diamond_words(v + "y", w), "x")
-    elif p == "x" and q == "y":
-        out = _append(_diamond_words(v, b), "x") + _append(_diamond_words(a, w), "y")
-    elif p == "y" and q == "x":
-        out = _append(_diamond_words(v, b), "y") + _append(_diamond_words(a, w), "x")
-    else:  # p == q == "y"
-        out = _append(_diamond_words(v, b), "y") - _append(_diamond_words(v + "x", w), "y")
+    acc = {u + p: c for u, c in _diamond_words(v, b).terms.items()}
+    if p == q:
+        # vx <> wx and vy <> wy: subtract (v flip(p) <> w) p
+        second = _diamond_words(v + _FLIP[p], w).terms.items()
+        add_into(acc, {u + p: c for u, c in second}, -1)
+    else:
+        # the second part ends in q, the first in p: no key repeats
+        for u, c in _diamond_words(a, w).terms.items():
+            acc[u + q] = c
+    out = Poly._wrap(acc)
     _DIAMOND_CACHE[(a, b)] = out
     return out
 
 
 def diamond(v: Poly, w: Poly) -> Poly:
     """Bilinear extension of the word-level diamond recursion."""
-    out = Poly.zero()
+    acc: dict[str, Scalar] = {}
     for a, ca in v.terms.items():
         for b, cb in w.terms.items():
-            out = out + (ca * cb) * _diamond_words(a, b)
-    return out
+            add_into(acc, _diamond_words(a, b).terms, ca * cb)
+    return Poly._wrap(acc)
 
 
 _SIGMA_TREE: dict[Tree, Poly] = {}
@@ -82,7 +85,7 @@ def sigma_forest(f: Forest) -> Poly:
 
 def sigma(a: HElem) -> Poly:
     """Linear extension of the forest-to-polynomial homomorphism."""
-    out = Poly.zero()
+    acc: dict[str, Scalar] = {}
     for f, c in a.terms.items():
-        out = out + c * sigma_forest(f)
-    return out
+        add_into(acc, sigma_forest(f).terms, c)
+    return Poly._wrap(acc)

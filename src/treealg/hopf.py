@@ -1,19 +1,20 @@
 """Rational linear combinations of forests and the coproduct.
 
 ``HElem`` is a finite Q-linear combination of forests; ``TensorElem`` lives
-in the tensor square. The coproduct is multiplicative on forests and is
-defined on a tree t = bplus(f) by
+in the tensor square. Both sit on the shared linear-combination core
+(``lincomb``), whose sums accumulate in place. The coproduct is
+multiplicative on forests and is defined on a tree t = bplus(f) by
 
     delta(t) = t (x) 1  +  (id (x) bplus) delta(f).
 
-Per-tree coproducts are memoized; all values are immutable.
+Per-tree coproducts are memoized; memoized values are never mutated.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Mapping, Union
 
+from .lincomb import LinComb, Scalar, add_into, format_terms
 from .trees import (
     EMPTY_FOREST,
     Forest,
@@ -24,35 +25,19 @@ from .trees import (
     parse_forest,
 )
 
-Scalar = Union[int, Fraction]
 
-
-def _pruned(terms: Mapping) -> dict:
-    return {k: c for k, c in terms.items() if c}
-
-
-class HElem:
+class HElem(LinComb):
     """An element of the forest algebra: finite map forest -> rational."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Forest, Scalar] | None = None):
-        self.terms = _pruned(terms or {})
+    __slots__ = ()
 
     @classmethod
     def from_forest(cls, f: Forest, coeff: Scalar = 1) -> "HElem":
         return cls({f: coeff})
 
     @classmethod
-    def zero(cls) -> "HElem":
-        return cls()
-
-    @classmethod
     def one(cls) -> "HElem":
-        return cls({EMPTY_FOREST: 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return cls._wrap({EMPTY_FOREST: 1})
 
     def homogeneous_degree(self) -> int | None:
         """The common degree of all forests, or None if mixed (zero -> 0)."""
@@ -63,66 +48,29 @@ class HElem:
             return None
         return degrees.pop()
 
-    def __add__(self, other: "HElem") -> "HElem":
-        out = dict(self.terms)
-        for f, c in other.terms.items():
-            out[f] = out.get(f, 0) + c
-        return HElem(out)
-
-    def __sub__(self, other: "HElem") -> "HElem":
-        return self + (-1) * other
-
-    def __neg__(self) -> "HElem":
-        return (-1) * self
-
-    def __rmul__(self, scalar: Scalar) -> "HElem":
-        return HElem({f: scalar * c for f, c in self.terms.items()})
-
     def __mul__(self, other: "HElem") -> "HElem":
-        out: dict[Forest, Scalar] = {}
-        for f, a in self.terms.items():
-            for g, b in other.terms.items():
-                fg = forest_product(f, g)
-                out[fg] = out.get(fg, 0) + a * b
-        return HElem(out)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, HElem) and self.terms == other.terms
+        return self._product(other, forest_product)
 
     def __repr__(self) -> str:
         return f"HElem({print_helem(self)!r})"
 
 
-class TensorElem:
+def _pair_product(
+    p: tuple[Forest, Forest], q: tuple[Forest, Forest]
+) -> tuple[Forest, Forest]:
+    return (forest_product(p[0], q[0]), forest_product(p[1], q[1]))
+
+
+class TensorElem(LinComb):
     """An element of the tensor square: finite map (forest, forest) -> rational."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[Forest, Forest], Scalar] | None = None):
-        self.terms = _pruned(terms or {})
-
-    def __add__(self, other: "TensorElem") -> "TensorElem":
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, 0) + c
-        return TensorElem(out)
-
-    def __rmul__(self, scalar: Scalar) -> "TensorElem":
-        return TensorElem({p: scalar * c for p, c in self.terms.items()})
+    __slots__ = ()
 
     def __mul__(self, other: "TensorElem") -> "TensorElem":
-        out: dict[tuple[Forest, Forest], Scalar] = {}
-        for (a1, a2), c in self.terms.items():
-            for (b1, b2), d in other.terms.items():
-                key = (forest_product(a1, b1), forest_product(a2, b2))
-                out[key] = out.get(key, 0) + c * d
-        return TensorElem(out)
+        return self._product(other, _pair_product)
 
     def swap(self) -> "TensorElem":
-        return TensorElem({(b, a): c for (a, b), c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TensorElem) and self.terms == other.terms
+        return TensorElem._wrap({(b, a): c for (a, b), c in self.terms.items()})
 
     def __repr__(self) -> str:
         return f"TensorElem({print_tensor(self)!r})"
@@ -130,18 +78,6 @@ class TensorElem:
 
 def tensor_mul(u: TensorElem, v: TensorElem) -> TensorElem:
     return u * v
-
-
-def h_add(a: HElem, b: HElem) -> HElem:
-    return a + b
-
-
-def h_scale(c: Scalar, a: HElem) -> HElem:
-    return c * a
-
-
-def h_mul(a: HElem, b: HElem) -> HElem:
-    return a * b
 
 
 _TENSOR_UNIT = TensorElem({(EMPTY_FOREST, EMPTY_FOREST): 1})
@@ -152,11 +88,11 @@ def _tree_coproduct(t: Tree) -> TensorElem:
     cached = _TREE_DELTA.get(t)
     if cached is not None:
         return cached
-    inner = _forest_coproduct(t.child_forest())
-    lifted = TensorElem(
-        {(f1, bplus(f2).as_forest()): c for (f1, f2), c in inner.terms.items()}
-    )
-    out = TensorElem({(t.as_forest(), EMPTY_FOREST): 1}) + lifted
+    acc = {(t.as_forest(), EMPTY_FOREST): 1}
+    # the lifted terms have a nonempty right factor: no key repeats
+    for (f1, f2), c in _forest_coproduct(t.child_forest()).terms.items():
+        acc[(f1, bplus(f2).as_forest())] = c
+    out = TensorElem._wrap(acc)
     _TREE_DELTA[t] = out
     return out
 
@@ -169,10 +105,10 @@ def _forest_coproduct(f: Forest) -> TensorElem:
 
 
 def coproduct(a: HElem) -> TensorElem:
-    out = TensorElem()
+    acc: dict[tuple[Forest, Forest], Scalar] = {}
     for f, c in a.terms.items():
-        out = out + c * _forest_coproduct(f)
-    return out
+        add_into(acc, _forest_coproduct(f).terms, c)
+    return TensorElem._wrap(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -181,25 +117,12 @@ def coproduct(a: HElem) -> TensorElem:
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def _format_coeff(c: Scalar) -> str:
-    return str(c)
-
-
 def print_helem(a: HElem) -> str:
-    if not a.terms:
-        return "0"
-    parts = []
-    for f in sorted(a.terms, key=lambda f: (f.degree, f.encoding)):
-        c = a.terms[f]
-        sign = "-" if c < 0 else "+"
-        mag = -c if c < 0 else c
-        body = f.encoding if mag == 1 else f"{_format_coeff(mag)}*{f.encoding}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+    return format_terms(
+        a.terms,
+        lambda f: (f.degree, f.encoding),
+        lambda f, mag: f.encoding if mag == 1 else f"{mag}*{f.encoding}",
+    )
 
 
 def _parse_coeff(text: str, position: int) -> Scalar:
@@ -210,6 +133,15 @@ def _parse_coeff(text: str, position: int) -> Scalar:
         raise ForestSyntaxError("zero denominator", position + len(num) + 1)
     coeff = Fraction(text)
     return int(coeff) if coeff.denominator == 1 else coeff
+
+
+def _parse_forest_at(text: str, start: int) -> Forest:
+    """``parse_forest(text)`` for the part of the input that begins at
+    ``start``: error positions count from the start of the input."""
+    try:
+        return parse_forest(text)
+    except ForestSyntaxError as exc:
+        raise ForestSyntaxError(exc.message, start + exc.position) from None
 
 
 def parse_helem(text: str) -> HElem:
@@ -238,50 +170,37 @@ def parse_helem(text: str) -> HElem:
     if cur.strip():
         pieces.append((sign, start, cur))
     elif not pieces:
-        raise ForestSyntaxError("dangling sign", len(s) - 1)
-    out = HElem.zero()
+        raise ForestSyntaxError("dangling sign", offset + len(s) - 1)
+    acc: dict[Forest, Scalar] = {}
     for sg, start, term in pieces:
         term_start = offset + start + len(term) - len(term.lstrip())
         term = term.strip()
         if "*" in term:
-            coeff_text, forest_text = term.split("*", 1)
-            coeff_text = coeff_text.strip()
+            star = term.index("*")
+            coeff_text = term[:star].strip()
             if not _RATIONAL_RE.match(coeff_text):
-                raise ForestSyntaxError(f"bad coefficient {coeff_text!r}", 0)
+                raise ForestSyntaxError(f"bad coefficient {coeff_text!r}", term_start)
             coeff = _parse_coeff(coeff_text, term_start)
-            f = parse_forest(forest_text)
+            f = _parse_forest_at(term[star + 1 :], term_start + star + 1)
         elif _RATIONAL_RE.match(term):
             coeff = _parse_coeff(term, term_start)
             f = EMPTY_FOREST
         else:
             coeff = 1
-            f = parse_forest(term)
-        out = out + HElem.from_forest(f, sg * coeff)
-    return out
+            f = _parse_forest_at(term, term_start)
+        if coeff:
+            add_into(acc, {f: sg * coeff})
+    return HElem._wrap(acc)
+
+
+def _tensor_term(p: tuple[Forest, Forest], mag: Scalar) -> str:
+    pair = f"({p[0].encoding} (x) {p[1].encoding})"
+    return pair if mag == 1 else f"{mag}*{pair}"
 
 
 def print_tensor(u: TensorElem) -> str:
-    if not u.terms:
-        return "0"
-    keys = sorted(
+    return format_terms(
         u.terms,
-        key=lambda p: (
-            p[0].degree + p[1].degree,
-            -p[0].degree,
-            p[0].encoding,
-            p[1].encoding,
-        ),
+        lambda p: (p[0].degree + p[1].degree, -p[0].degree, p[0].encoding, p[1].encoding),
+        _tensor_term,
     )
-    parts = []
-    for f1, f2 in keys:
-        c = u.terms[(f1, f2)]
-        sign = "-" if c < 0 else "+"
-        mag = -c if c < 0 else c
-        pair = f"({f1.encoding} (x) {f2.encoding})"
-        body = pair if mag == 1 else f"{_format_coeff(mag)}*{pair}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .diamond import diamond, sigma
 from .hopf import HElem
+from .lincomb import Scalar, add_into
 from .rtm import rho_is_zero_on_x
 from .trees import Forest, LEAF, bplus, forest_product, ladder
 from .words import ONE, Poly, Y, op_R, op_R_pow
@@ -33,19 +34,19 @@ def chain_wrap(k: int, f: Forest) -> Forest:
 def build_fmn(m: int, n: int) -> HElem:
     if m < 1 or n < 1:
         raise ValueError("both ladder lengths must be >= 1")
-    acc = HElem.from_forest(forest_product(ladder(m), ladder(n)))
+    acc: dict[Forest, Scalar] = {forest_product(ladder(m), ladder(n)): 1}
     for i in range(m):
         for j in range(n):
             inner = forest_product(
                 LEAF.as_forest(), bplus(forest_product(ladder(i), ladder(j))).as_forest()
             )
-            acc = acc - HElem.from_forest(chain_wrap(m - i + n - j - 2, inner))
+            add_into(acc, {chain_wrap(m - i + n - j - 2, inner): 1}, -1)
             if (i, j) != (0, 0):
                 bare = forest_product(
                     LEAF.as_forest(), forest_product(ladder(i), ladder(j))
                 )
-                acc = acc + HElem.from_forest(chain_wrap(m - i + n - j - 1, bare))
-    return acc
+                add_into(acc, {chain_wrap(m - i + n - j - 1, bare): 1})
+    return HElem._wrap(acc)
 
 
 def _ladder_poly(k: int) -> Poly:
@@ -63,18 +64,16 @@ def verify_r_identity(m: int, n: int) -> bool:
     if m < 1 or n < 1:
         raise ValueError("both ladder lengths must be >= 1")
     lhs = diamond(_ladder_poly(m), _ladder_poly(n))
-    rhs = Poly.zero()
+    rhs: dict[str, Scalar] = {}
     for i in range(m):
         for j in range(n):
             li, lj = _ladder_poly(i), _ladder_poly(j)
-            rhs = rhs + op_R_pow(
-                m - i + n - j - 2, diamond(Y, _r_hat(diamond(li, lj)))
-            )
+            term = op_R_pow(m - i + n - j - 2, diamond(Y, _r_hat(diamond(li, lj))))
+            add_into(rhs, term.terms)
             if (i, j) != (0, 0):
-                rhs = rhs - op_R_pow(
-                    m - i + n - j - 1, diamond(Y, diamond(li, lj))
-                )
-    return lhs == rhs
+                term = op_R_pow(m - i + n - j - 1, diamond(Y, diamond(li, lj)))
+                add_into(rhs, term.terms, -1)
+    return lhs.terms == rhs
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,20 @@ recursion
     f(wv) = sum over coproduct terms (f1, f2) of  f1(w) * f2(v).
 
 The empty forest acts as the identity and every nonempty forest kills
-constants. Evaluations are memoized per (forest, word).
+constants. Evaluations are memoized per (forest, word); every sum
+accumulates in place into a fresh dict (``lincomb``), so memoized values are
+never mutated.
 """
 from __future__ import annotations
 
+from operator import add
+
 from .hopf import HElem, _forest_coproduct
+from .lincomb import Scalar, add_into, add_product_into
 from .trees import EMPTY_FOREST, Forest, LEAF, Tree
 from .words import Poly, X, op_R
 
-_XY = Poly.from_word("xy")
+_XY = Poly._wrap({"xy": 1})
 _ON_WORD_CACHE: dict[tuple[Forest, str], Poly] = {}
 _TREE_ON_X: dict[Tree, Poly] = {}
 
@@ -38,7 +43,7 @@ def rtm_tree_on_letter(t: Tree, v: str) -> Poly:
 
 def _forest_on_word(f: Forest, w: str) -> Poly:
     if not f.trees:
-        return Poly.from_word(w)
+        return Poly._wrap({w: 1})
     if not w:
         return Poly.zero()
     key = (f, w)
@@ -54,32 +59,32 @@ def _forest_on_word(f: Forest, w: str) -> Poly:
             out = _forest_on_poly(head.as_forest(), _forest_on_word(rest, w))
     else:
         head_word, last = w[:-1], w[-1]
-        out = Poly.zero()
+        acc: dict[str, Scalar] = {}
         for (f1, f2), c in _forest_coproduct(f).terms.items():
-            left = _forest_on_word(f1, head_word)
-            if left.is_zero():
+            left = _forest_on_word(f1, head_word).terms
+            if not left:
                 continue
-            right = _forest_on_word(f2, last)
-            if right.is_zero():
-                continue
-            out = out + c * (left * right)
+            right = _forest_on_word(f2, last).terms
+            if right:
+                add_product_into(acc, left, right, add, c)
+        out = Poly(acc)
     _ON_WORD_CACHE[key] = out
     return out
 
 
 def _forest_on_poly(f: Forest, p: Poly) -> Poly:
-    out = Poly.zero()
+    acc: dict[str, Scalar] = {}
     for w, c in p.terms.items():
-        out = out + c * _forest_on_word(f, w)
-    return out
+        add_into(acc, _forest_on_word(f, w).terms, c)
+    return Poly._wrap(acc)
 
 
 def rtm_apply(f: HElem, w: Poly) -> Poly:
     """Evaluate the combination f of forests on the polynomial w."""
-    out = Poly.zero()
+    acc: dict[str, Scalar] = {}
     for forest, c in f.terms.items():
-        out = out + c * _forest_on_poly(forest, w)
-    return out
+        add_into(acc, _forest_on_poly(forest, w).terms, c)
+    return Poly._wrap(acc)
 
 
 def rho_is_zero_on_x(f: HElem) -> bool:

@@ -1,15 +1,17 @@
 """The noncommutative polynomial ring Q<x, y>.
 
 Words are plain strings over the alphabet {x, y}; the empty string is the
-unit word. ``Poly`` is a sparse map word -> rational. Canonical printing
-orders terms by word length, then lexicographically with x < y.
+unit word. ``Poly`` is a sparse map word -> rational on the shared
+linear-combination core (``lincomb``), whose sums accumulate in place.
+Canonical printing orders terms by word length, then lexicographically with
+x < y.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Union
+from operator import add
 
-Scalar = Union[int, Fraction]
+from .lincomb import LinComb, Scalar, add_into, format_terms
 
 
 class PolySyntaxError(ValueError):
@@ -20,28 +22,21 @@ class PolySyntaxError(ValueError):
         self.position = position
 
 
-class Poly:
+class Poly(LinComb):
     """A finite Q-linear combination of words over {x, y}."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[str, Scalar] | None = None):
-        self.terms = {w: c for w, c in (terms or {}).items() if c}
+    __slots__ = ()
 
     @classmethod
     def from_word(cls, w: str, coeff: Scalar = 1) -> "Poly":
+        """coeff * w; raises ValueError if w has a letter other than x, y."""
+        if w.strip("xy"):
+            raise ValueError(f"word {w!r} has a letter other than x and y")
         return cls({w: coeff})
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "Poly":
-        return cls({"": 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return cls._wrap({"": 1})
 
     def homogeneous_degree(self) -> int | None:
         """Common word length of all terms, None if mixed (zero -> 0)."""
@@ -56,39 +51,16 @@ class Poly:
         """True if every term is a nonempty word ending in y."""
         return all(w.endswith("y") for w in self.terms)
 
-    def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return Poly(out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-1) * other
-
-    def __neg__(self) -> "Poly":
-        return (-1) * self
-
-    def __rmul__(self, scalar: Scalar) -> "Poly":
-        return Poly({w: scalar * c for w, c in self.terms.items()})
-
     def __mul__(self, other: "Poly") -> "Poly":
         """Concatenation product (noncommutative)."""
-        out: dict[str, Scalar] = {}
-        for v, a in self.terms.items():
-            for w, b in other.terms.items():
-                vw = v + w
-                out[vw] = out.get(vw, 0) + a * b
-        return Poly(out)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly) and self.terms == other.terms
+        return self._product(other, add)
 
     def __repr__(self) -> str:
         return f"Poly({print_poly(self)!r})"
 
 
-X = Poly.from_word("x")
-Y = Poly.from_word("y")
+X = Poly._wrap({"x": 1})
+Y = Poly._wrap({"y": 1})
 ONE = Poly.one()
 Z = X + Y
 X_PLUS_2Y = X + 2 * Y
@@ -110,7 +82,7 @@ def strip_y(v: Poly) -> Poly:
         if not w.endswith("y"):
             raise ValueError(f"term {w or '1'!r} does not end in y")
         out[w[:-1]] = c
-    return Poly(out)
+    return Poly._wrap(out)
 
 
 def op_R(v: Poly) -> Poly:
@@ -124,27 +96,14 @@ def op_R_pow(k: int, v: Poly) -> Poly:
     return v
 
 
+def _poly_term(w: str, mag: Scalar) -> str:
+    if not w:
+        return str(mag)
+    return w if mag == 1 else f"{mag}{w}"
+
+
 def print_poly(p: Poly) -> str:
-    if not p.terms:
-        return "0"
-    parts = []
-    for w in sorted(p.terms, key=lambda w: (len(w), w)):
-        c = p.terms[w]
-        sign = "-" if c < 0 else "+"
-        mag = -c if c < 0 else c
-        word = w if w else "1"
-        if not w:
-            body = str(mag)
-        elif mag == 1:
-            body = word
-        else:
-            body = f"{mag}{word}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+    return format_terms(p.terms, lambda w: (len(w), w), _poly_term)
 
 
 def parse_poly(text: str) -> Poly:
@@ -156,7 +115,7 @@ def parse_poly(text: str) -> Poly:
     s = text
     i = 0
     n = len(s)
-    out = Poly.zero()
+    acc: dict[str, Scalar] = {}
     seen_term = False
 
     def skip_ws(i: int) -> int:
@@ -221,6 +180,7 @@ def parse_poly(text: str) -> Poly:
                 i = skip_ws(i + 1)
             if not letters and not have_coeff:
                 raise PolySyntaxError(f"unexpected character {s[i]!r}", i)
-        out = out + Poly.from_word(letters, sign * coeff)
+        if coeff:
+            add_into(acc, {letters: sign * coeff})
         seen_term = True
-    return out
+    return Poly._wrap(acc)

@@ -1,0 +1,272 @@
+"""Differential tests: the in-place accumulating sums against the plain fold.
+
+The reference below is the original formulation, kept on plain dicts: every
+sum is ``out = out + c * p``, where ``+`` copies the whole left operand and
+prunes zeros after each step, and the memo-free recursions follow the
+definitions line by line. The library's diamond, sigma, rtm_apply and
+coproduct must agree with it on the terms and on the type of every
+coefficient, must hold no zero coefficient, and must return an equal result
+when called again, so that a memo entry changed through an aliased
+accumulator shows up.
+"""
+import operator
+from fractions import Fraction
+
+from hypothesis import example, given, settings, strategies as st
+
+from treealg import (
+    EMPTY_FOREST,
+    HElem,
+    LEAF,
+    Poly,
+    bplus,
+    build_fmn,
+    coproduct,
+    diamond,
+    forest_product,
+    rtm_apply,
+    sigma,
+    sigma_kernel,
+)
+
+from conftest import all_words, forests_up_to
+
+# --- reference: the plain fold on dicts ------------------------------------
+
+
+def _plus(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _scaled(s, a):
+    return {k: s * c for k, c in a.items() if s * c}
+
+
+def _product(a, b, combine):
+    out = {}
+    for u, x in a.items():
+        for v, y in b.items():
+            k = combine(u, v)
+            out[k] = out.get(k, 0) + x * y
+    return {k: c for k, c in out.items() if c}
+
+
+def _tensor_combine(p, q):
+    return (forest_product(p[0], q[0]), forest_product(p[1], q[1]))
+
+
+def _append(p, letter):
+    return {w + letter: c for w, c in p.items()}
+
+
+_REF_DIAMOND = {}
+
+
+def ref_diamond_words(a, b):
+    if not a:
+        return {b: 1}
+    if not b:
+        return {a: 1}
+    if (a, b) not in _REF_DIAMOND:
+        v, p = a[:-1], a[-1]
+        w, q = b[:-1], b[-1]
+        if p == "x" and q == "x":
+            out = _plus(
+                _append(ref_diamond_words(v, b), "x"),
+                _scaled(-1, _append(ref_diamond_words(v + "y", w), "x")),
+            )
+        elif p == "x" and q == "y":
+            out = _plus(
+                _append(ref_diamond_words(v, b), "x"), _append(ref_diamond_words(a, w), "y")
+            )
+        elif p == "y" and q == "x":
+            out = _plus(
+                _append(ref_diamond_words(v, b), "y"), _append(ref_diamond_words(a, w), "x")
+            )
+        else:
+            out = _plus(
+                _append(ref_diamond_words(v, b), "y"),
+                _scaled(-1, _append(ref_diamond_words(v + "x", w), "y")),
+            )
+        _REF_DIAMOND[(a, b)] = out
+    return _REF_DIAMOND[(a, b)]
+
+
+def ref_diamond(v, w):
+    out = {}
+    for a, ca in v.items():
+        for b, cb in w.items():
+            out = _plus(out, _scaled(ca * cb, ref_diamond_words(a, b)))
+    return out
+
+
+def ref_op_R(v):
+    stripped = {}
+    for w, c in v.items():
+        assert w.endswith("y")
+        stripped[w[:-1]] = c
+    return _product(_product(stripped, {"x": 1, "y": 2}, operator.add), {"y": 1}, operator.add)
+
+
+def ref_sigma_tree(t):
+    return {"y": 1} if t is LEAF else ref_op_R(ref_sigma_forest(t.child_forest()))
+
+
+def ref_sigma_forest(f):
+    out = {"": 1}
+    for t in f.trees:
+        out = ref_diamond(out, ref_sigma_tree(t))
+    return out
+
+
+def ref_sigma(a):
+    out = {}
+    for f, c in a.items():
+        out = _plus(out, _scaled(c, ref_sigma_forest(f)))
+    return out
+
+
+def ref_tree_coproduct(t):
+    inner = ref_forest_coproduct(t.child_forest())
+    lifted = {(f1, bplus(f2).as_forest()): c for (f1, f2), c in inner.items()}
+    return _plus({(t.as_forest(), EMPTY_FOREST): 1}, lifted)
+
+
+def ref_forest_coproduct(f):
+    out = {(EMPTY_FOREST, EMPTY_FOREST): 1}
+    for t in f.trees:
+        out = _product(out, ref_tree_coproduct(t), _tensor_combine)
+    return out
+
+
+def ref_coproduct(a):
+    out = {}
+    for f, c in a.items():
+        out = _plus(out, _scaled(c, ref_forest_coproduct(f)))
+    return out
+
+
+def ref_tree_on_x(t):
+    return {"xy": 1} if t is LEAF else ref_op_R(ref_forest_on_word(t.child_forest(), "x"))
+
+
+def ref_forest_on_word(f, w):
+    if not f.trees:
+        return {w: 1}
+    if not w:
+        return {}
+    if len(w) == 1:
+        if len(f.trees) == 1:
+            on_x = ref_tree_on_x(f.trees[0])
+            return on_x if w == "x" else _scaled(-1, on_x)
+        head, rest = f.trees[0], type(f)(f.trees[1:])
+        return ref_forest_on_poly(head.as_forest(), ref_forest_on_word(rest, w))
+    out = {}
+    for (f1, f2), c in ref_forest_coproduct(f).items():
+        left = ref_forest_on_word(f1, w[:-1])
+        right = ref_forest_on_word(f2, w[-1])
+        if left and right:
+            out = _plus(out, _scaled(c, _product(left, right, operator.add)))
+    return out
+
+
+def ref_forest_on_poly(f, p):
+    out = {}
+    for w, c in p.items():
+        out = _plus(out, _scaled(c, ref_forest_on_word(f, w)))
+    return out
+
+
+def ref_rtm_apply(f, w):
+    out = {}
+    for forest, c in f.items():
+        out = _plus(out, _scaled(c, ref_forest_on_poly(forest, w)))
+    return out
+
+
+# --- inputs ------------------------------------------------------------------
+
+# Integers and fractions, including a Fraction with denominator 1, so that a
+# changed coefficient type would show.
+COEFFS = st.sampled_from([-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(2)])
+WORDS = st.sampled_from(all_words(3))
+FORESTS = st.sampled_from(forests_up_to(4))
+
+
+def _cancelling(keys, extra):
+    """Combinations p - q (+ extra terms) and q + p: their products
+    contain p*q - q*p, which cancels exactly for a commutative product."""
+    return st.tuples(keys, keys, COEFFS, st.dictionaries(keys, COEFFS, max_size=extra)).map(
+        lambda t: ({t[0]: t[2], t[1]: -t[2], **t[3]}, {t[1]: t[2], t[0]: t[2]})
+    )
+
+
+def polys(extra=3):
+    return st.dictionaries(WORDS, COEFFS, max_size=extra).map(Poly)
+
+
+def helems(extra=3):
+    return st.dictionaries(FORESTS, COEFFS, max_size=extra).map(HElem)
+
+
+def _assert_matches(compute, args, expected):
+    result = compute(*args)
+    assert result.terms == expected
+    assert {k: type(c) for k, c in result.terms.items()} == {
+        k: type(c) for k, c in expected.items()
+    }
+    assert all(result.terms.values())
+    again = compute(*args)
+    assert again == result
+    assert {k: type(c) for k, c in again.terms.items()} == {
+        k: type(c) for k, c in result.terms.items()
+    }
+
+
+RELATIONS = [build_fmn(m, n) for m, n in [(1, 1), (1, 2), (2, 2), (1, 3)]]
+
+
+class TestAgainstFold:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(st.tuples(polys(), polys()), _cancelling(WORDS, 2).map(
+        lambda vw: (Poly(vw[0]), Poly(vw[1]))
+    )))
+    @example((Poly({"x": 1, "y": -1}), Poly({"x": 1, "y": 1})))
+    @example((Poly({"xy": Fraction(1, 2), "yx": Fraction(-1, 2)}), Poly({"yx": 2, "xy": 2})))
+    def test_diamond(self, vw):
+        v, w = vw
+        _assert_matches(diamond, (v, w), ref_diamond(v.terms, w.terms))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(helems(), st.sampled_from(RELATIONS + sigma_kernel(4))))
+    @example(HElem({forest_product(LEAF.as_forest(), LEAF.as_forest()): 1}))
+    def test_sigma(self, a):
+        _assert_matches(sigma, (a,), ref_sigma(a.terms))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(helems(2), st.sampled_from(RELATIONS)), polys(2))
+    def test_rtm_apply(self, f, w):
+        _assert_matches(rtm_apply, (f, w), ref_rtm_apply(f.terms, w.terms))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(helems(), st.sampled_from(RELATIONS)))
+    @example(
+        HElem({forest_product(LEAF.as_forest(), LEAF.as_forest()): 1,
+               bplus(LEAF.as_forest()).as_forest(): -2})
+    )
+    def test_coproduct(self, a):
+        _assert_matches(coproduct, (a,), ref_coproduct(a.terms))
+
+    def test_cancellations_occur(self):
+        # the inputs above do reach exact cancellation
+        assert sigma(build_fmn(2, 2)).is_zero()
+        assert ref_sigma(build_fmn(2, 2).terms) == {}
+        both = HElem({forest_product(LEAF.as_forest(), LEAF.as_forest()): 1,
+                      bplus(LEAF.as_forest()).as_forest(): -2})
+        assert (LEAF.as_forest(), LEAF.as_forest()) not in coproduct(both).terms
+        assert diamond(Poly({"x": 1, "y": -1}), Poly({"x": 1, "y": 1})) == diamond(
+            Poly.from_word("x"), Poly.from_word("x")
+        ) - diamond(Poly.from_word("y"), Poly.from_word("y"))

@@ -1,8 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from treealg import selfcheck
 from treealg.cli import run
+
+# Exact stdout, text and --json, of one command per algebra subcommand: any
+# refactor of the combination classes or their printers must keep it.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
 def invoke(capsys, *argv):
@@ -80,6 +86,15 @@ class TestAlgebraCommands:
         assert lines[4] == "mod2_invertible: True"
 
 
+class TestGoldenOutput:
+    @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+    def test_byte_identical(self, capsys, case):
+        code, out, err = invoke(capsys, *case["argv"])
+        assert code == case["exit"]
+        assert out == case["stdout"]
+        assert err == ""
+
+
 class TestRelationCommand:
     def test_verify_ok(self, capsys):
         code, out, _ = invoke(capsys, "relation", "2", "2", "--verify")
@@ -131,6 +146,21 @@ class TestErrors:
         assert code == 2
         assert "zero denominator (at position 7)" in err
 
+    def test_forest_error_positioned_in_input(self, capsys):
+        code, _, err = invoke(capsys, "sigma", "[] + [[]] x")
+        assert code == 2
+        assert "unexpected character 'x' (at position 10)" in err
+
+    def test_bad_coefficient_positioned_in_input(self, capsys):
+        code, _, err = invoke(capsys, "sigma", "[] + 2x*[]")
+        assert code == 2
+        assert "bad coefficient '2x' (at position 5)" in err
+
+    def test_dangling_sign_positioned_in_input(self, capsys):
+        code, _, err = invoke(capsys, "sigma", "  -")
+        assert code == 2
+        assert "dangling sign (at position 2)" in err
+
     def test_zero_denominator_in_poly(self, capsys):
         code, _, err = invoke(capsys, "diamond", "x", "1/0")
         assert code == 2
@@ -154,6 +184,22 @@ class TestSelfcheck:
         code, out, _ = invoke(capsys, "selfcheck", "--max-degree", "3")
         assert code == 0
         assert out.splitlines()[-1] == "selfcheck passed"
+
+    def test_diamond_laws_draw_words_within_max_degree(self, monkeypatch):
+        drawn = []
+        from_word = selfcheck.Poly.from_word
+        monkeypatch.setattr(
+            selfcheck.Poly,
+            "from_word",
+            staticmethod(lambda w, coeff=1: drawn.append(w) or from_word(w, coeff)),
+        )
+        per_check = {}
+        for name, ok in selfcheck.run_selfcheck(2):
+            assert ok, name
+            per_check[name] = list(drawn)
+            drawn.clear()
+        assert per_check["diamond-laws"]
+        assert max(map(len, per_check["diamond-laws"])) <= 2
 
     def test_rejects_negative_max_degree(self, capsys):
         code, out, err = invoke(capsys, "selfcheck", "--max-degree", "-3")

@@ -131,3 +131,12 @@ class TestTextForm:
     def test_syntax_errors(self, bad):
         with pytest.raises(PolySyntaxError):
             parse_poly(bad)
+
+    @pytest.mark.parametrize("bad", ["z", "xz", "x y", "X", "1"])
+    def test_from_word_rejects_other_letters(self, bad):
+        with pytest.raises(ValueError):
+            Poly.from_word(bad)
+
+    def test_from_word_accepts_words_over_x_y(self):
+        assert Poly.from_word("").terms == {"": 1}
+        assert Poly.from_word("xyx", -2).terms == {"xyx": -2}

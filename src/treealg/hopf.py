@@ -7,7 +7,8 @@ multiplicative on forests and is defined on a tree t = bplus(f) by
 
     delta(t) = t (x) 1  +  (id (x) bplus) delta(f).
 
-Per-tree coproducts are memoized; memoized values are never mutated.
+Coproducts are memoized per tree (``_TREE_DELTA``) and per forest
+(``_FOREST_DELTA``); memoized values are never mutated.
 """
 from __future__ import annotations
 
@@ -82,6 +83,7 @@ def tensor_mul(u: TensorElem, v: TensorElem) -> TensorElem:
 
 _TENSOR_UNIT = TensorElem({(EMPTY_FOREST, EMPTY_FOREST): 1})
 _TREE_DELTA: dict[Tree, TensorElem] = {}
+_FOREST_DELTA: dict[Forest, TensorElem] = {}
 
 
 def _tree_coproduct(t: Tree) -> TensorElem:
@@ -98,9 +100,13 @@ def _tree_coproduct(t: Tree) -> TensorElem:
 
 
 def _forest_coproduct(f: Forest) -> TensorElem:
+    cached = _FOREST_DELTA.get(f)
+    if cached is not None:
+        return cached
     out = _TENSOR_UNIT
     for t in f.trees:
         out = out * _tree_coproduct(t)
+    _FOREST_DELTA[f] = out
     return out
 
 
@@ -167,10 +173,10 @@ def parse_helem(text: str) -> HElem:
             start = i + 1
         else:
             cur += ch
-    if cur.strip():
-        pieces.append((sign, start, cur))
-    elif not pieces:
+    if not cur.strip():
+        # s is stripped, so it ends with the last sign
         raise ForestSyntaxError("dangling sign", offset + len(s) - 1)
+    pieces.append((sign, start, cur))
     acc: dict[Forest, Scalar] = {}
     for sg, start, term in pieces:
         term_start = offset + start + len(term) - len(term.lstrip())

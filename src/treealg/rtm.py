@@ -3,15 +3,23 @@
 The action is fixed by four rules: the leaf sends x to xy and y to -xy;
 a grafted tree acts on letters through the degree-raising operator applied
 to the child forest's value on x; a product of trees acts on letters by
-composition; and on a longer word w.v the action is the coproduct-driven
+composition; and on a longer word v.a the action is the coproduct-driven
 recursion
 
-    f(wv) = sum over coproduct terms (f1, f2) of  f1(w) * f2(v).
+    f(va) = sum over coproduct terms (f1, f2) of  f1(v) * f2(a).
 
 The empty forest acts as the identity and every nonempty forest kills
-constants. Evaluations are memoized per (forest, word); every sum
-accumulates in place into a fresh dict (``lincomb``), so memoized values are
-never mutated.
+constants. Only words ending in x pay for this sum. With z = x + y, every
+nonempty forest g has g(y) = -g(x), so only the term f (x) 1 survives in
+f(vx) + f(vy), which is therefore f(v)z; hence
+
+    f(vy) = f(v)z - f(vx),
+
+which costs one pass over f(v) and f(vx). Values are memoized per (forest,
+word) in ``_ON_WORD_CACHE`` and per tree on x in ``_TREE_ON_X``, on top of
+the coproduct memos of ``hopf``. Every sum accumulates into a fresh dict
+(``lincomb``), every memo entry is built compact (no slots left by deleted
+keys), and memoized values are never mutated.
 """
 from __future__ import annotations
 
@@ -50,24 +58,32 @@ def _forest_on_word(f: Forest, w: str) -> Poly:
     cached = _ON_WORD_CACHE.get(key)
     if cached is not None:
         return cached
-    if len(w) == 1:
-        if len(f.trees) == 1:
-            out = rtm_tree_on_letter(f.trees[0], w)
-        else:
-            # composition: first canonical tree applied after the rest
-            head, rest = f.trees[0], Forest(f.trees[1:])
-            out = _forest_on_poly(head.as_forest(), _forest_on_word(rest, w))
-    else:
-        head_word, last = w[:-1], w[-1]
-        acc: dict[str, Scalar] = {}
-        for (f1, f2), c in _forest_coproduct(f).terms.items():
-            left = _forest_on_word(f1, head_word).terms
-            if not left:
-                continue
-            right = _forest_on_word(f2, last).terms
-            if right:
-                add_product_into(acc, left, right, add, c)
+    v = w[:-1]
+    if w[-1] == "y":
+        # f(vy) = f(v)z - f(vx). The words ending in x cancel: their zeros
+        # stay in acc (no key is deleted) until the pruning constructor
+        acc = {u: -c for u, c in _forest_on_word(f, v + "x").terms.items()}
+        get = acc.get
+        for u, c in _forest_on_word(f, v).terms.items():
+            ux = u + "x"
+            acc[ux] = get(ux, 0) + c
+            uy = u + "y"
+            acc[uy] = get(uy, 0) + c
         out = Poly(acc)
+    elif v:
+        acc = {}
+        for (f1, f2), c in _forest_coproduct(f).terms.items():
+            left = _forest_on_word(f1, v).terms
+            if left:
+                add_product_into(acc, left, _forest_on_word(f2, "x").terms, add, c)
+        out = Poly(acc)
+    elif len(f.trees) == 1:
+        out = rtm_tree_on_letter(f.trees[0], "x")
+    else:
+        # composition: first canonical tree applied after the rest
+        head, rest = f.trees[0], Forest(f.trees[1:])
+        # a compact copy: keys that cancel leave dead slots in the sum
+        out = Poly(_forest_on_poly(head.as_forest(), _forest_on_word(rest, "x")).terms)
     _ON_WORD_CACHE[key] = out
     return out
 

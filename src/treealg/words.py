@@ -63,7 +63,6 @@ X = Poly._wrap({"x": 1})
 Y = Poly._wrap({"y": 1})
 ONE = Poly.one()
 Z = X + Y
-X_PLUS_2Y = X + 2 * Y
 
 
 def concat(a: Poly, b: Poly) -> Poly:
@@ -86,8 +85,16 @@ def strip_y(v: Poly) -> Poly:
 
 
 def op_R(v: Poly) -> Poly:
-    """The degree-raising operator R_y R_{x+2y} R_y^{-1}."""
-    return strip_y(v) * X_PLUS_2Y * Y
+    """The degree-raising operator R_y R_{x+2y} R_y^{-1}: each term c*uy
+    becomes c*uxy + 2c*uyy. The images of distinct terms are distinct."""
+    out: dict[str, Scalar] = {}
+    for w, c in v.terms.items():
+        if not w.endswith("y"):
+            raise ValueError(f"term {w or '1'!r} does not end in y")
+        u = w[:-1]
+        out[u + "xy"] = c
+        out[u + "yy"] = 2 * c
+    return Poly._wrap(out)
 
 
 def op_R_pow(k: int, v: Poly) -> Poly:

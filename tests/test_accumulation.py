@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
+from treealg import hopf, rtm
 from treealg import (
     EMPTY_FOREST,
     HElem,
@@ -270,3 +271,54 @@ class TestAgainstFold:
         assert diamond(Poly({"x": 1, "y": -1}), Poly({"x": 1, "y": 1})) == diamond(
             Poly.from_word("x"), Poly.from_word("x")
         ) - diamond(Poly.from_word("y"), Poly.from_word("y"))
+
+
+# --- the z-identity behind the rtm letter step -------------------------------
+
+Z_TERMS = {"x": 1, "y": 1}
+NONEMPTY_FORESTS = st.sampled_from(forests_up_to(4, include_empty=False))
+
+
+class TestZIdentity:
+    """f(wz) = f(w)z and f(zw) = zf(w) for z = x + y and a nonempty forest f,
+    checked on the memo-free reference alone. The rtm letter step computes
+    f(vy) as f(v)z - f(vx), which is the first identity."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(NONEMPTY_FORESTS, st.sampled_from(all_words(4)))
+    def test_right_factor(self, f, w):
+        assert ref_forest_on_poly(f, Z_TERMS) == {}  # f(z) = 0
+        assert ref_forest_on_poly(f, {w + "x": 1, w + "y": 1}) == _product(
+            ref_forest_on_word(f, w), Z_TERMS, operator.add
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(NONEMPTY_FORESTS, st.sampled_from(all_words(4)))
+    def test_left_factor(self, f, w):
+        assert ref_forest_on_poly(f, {"x" + w: 1, "y" + w: 1}) == _product(
+            Z_TERMS, ref_forest_on_word(f, w), operator.add
+        )
+
+
+def _clear_memos():
+    for table in (rtm._ON_WORD_CACHE, rtm._TREE_ON_X, hopf._TREE_DELTA, hopf._FOREST_DELTA):
+        table.clear()
+
+
+class TestColdAndWarm:
+    """rtm_apply against the reference from empty memo tables, then again
+    from the tables the first call filled: an entry that is wrong, stored
+    before it is complete or changed after it is stored shows up in one of
+    the two."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(helems(2), st.sampled_from(RELATIONS)),
+        st.dictionaries(st.sampled_from(all_words(5)), COEFFS, max_size=2).map(Poly),
+    )
+    @example(HElem({bplus(LEAF.as_forest()).as_forest(): 1}), Poly({"xyxyy": 1}))
+    def test_rtm_apply(self, f, w):
+        expected = ref_rtm_apply(f.terms, w.terms)
+        _clear_memos()
+        # the first call runs cold, the second from the filled tables
+        _assert_matches(rtm_apply, (f, w), expected)

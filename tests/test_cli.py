@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import treealg
 from treealg import selfcheck
 from treealg.cli import run
 
@@ -95,6 +99,23 @@ class TestGoldenOutput:
         assert err == ""
 
 
+class TestModuleEntryPoint:
+    def test_python_dash_m(self):
+        src = str(Path(treealg.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        done = subprocess.run(
+            [sys.executable, "-m", "treealg", "sigma", "[[]]"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stdout == "xy + 2yy\n"
+        assert done.stderr == ""
+
+
 class TestRelationCommand:
     def test_verify_ok(self, capsys):
         code, out, _ = invoke(capsys, "relation", "2", "2", "--verify")
@@ -160,6 +181,18 @@ class TestErrors:
         code, _, err = invoke(capsys, "sigma", "  -")
         assert code == 2
         assert "dangling sign (at position 2)" in err
+
+    def test_trailing_dangling_sign_rejected(self, capsys):
+        code, out, err = invoke(capsys, "sigma", "[] +")
+        assert code == 2
+        assert out == ""
+        assert "dangling sign (at position 3)" in err
+
+    def test_trailing_dangling_signs_rejected_at_last(self, capsys):
+        code, out, err = invoke(capsys, "sigma", "[] + -")
+        assert code == 2
+        assert out == ""
+        assert "dangling sign (at position 5)" in err
 
     def test_zero_denominator_in_poly(self, capsys):
         code, _, err = invoke(capsys, "diamond", "x", "1/0")

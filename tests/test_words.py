@@ -80,6 +80,33 @@ class TestRightOperators:
             expected = expected * parse_poly("y")
             assert op_R_pow(m, parse_poly("y")) == expected
 
+    @given(
+        st.dictionaries(
+            st.text(alphabet="xy", max_size=4).map(lambda u: u + "y"),
+            st.one_of(
+                st.integers(-4, 4),
+                st.fractions(max_denominator=4).filter(bool),
+                st.sampled_from([Fraction(2), Fraction(-1)]),
+            ),
+            max_size=5,
+        ).map(Poly)
+    )
+    def test_op_R_is_the_product_form(self, v):
+        # the direct loop against R_y R_{x+2y} R_y^{-1} as two products
+        x_plus_2y = Poly.from_word("x") + 2 * Poly.from_word("y")
+        expected = strip_y(v) * x_plus_2y * Poly.from_word("y")
+        out = op_R(v)
+        assert out.terms == expected.terms
+        assert {w: type(c) for w, c in out.terms.items()} == {
+            w: type(c) for w, c in expected.terms.items()
+        }
+
+    def test_op_R_rejects_term_not_ending_in_y(self):
+        with pytest.raises(ValueError, match="does not end in y"):
+            op_R(parse_poly("xy + yx"))
+        with pytest.raises(ValueError, match="'1' does not end in y"):
+            op_R(parse_poly("y + 1"))
+
     def test_op_R_preserves_y_ending_and_degree(self):
         rng = random.Random(3)
         pool = ["y", "xy", "yy", "xxy", "yxy", "xyy", "yyy"]

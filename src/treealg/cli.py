@@ -173,11 +173,7 @@ def _cmd_diamond(args) -> int:
 
 
 def _cmd_relation(args) -> int:
-    try:
-        report = verify_fmn(args.m, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = verify_fmn(args.m, args.n)
     relation_text = print_helem(report.relation)
     lines = [f"f_{args.m},{args.n} = {relation_text}"]
     payload: dict = {"m": args.m, "n": args.n, "relation": relation_text}
@@ -241,9 +237,6 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    if args.degree < 1:
-        print("error: degree must be >= 1", file=sys.stderr)
-        return 2
     kernel = sigma_kernel(args.degree)
     lines = [print_helem(k) for k in kernel] or ["(empty)"]
     _emit(

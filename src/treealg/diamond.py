@@ -12,15 +12,18 @@ and extended bilinearly. ``sigma`` sends a forest to its polynomial value:
 the leaf goes to y, grafting acts by the degree-raising operator, and a
 product of trees goes to the diamond product of their values.
 
-Every sum accumulates in place into one fresh dict (``lincomb.add_into``);
-memoized word products and tree values are never mutated.
+Word products are memoized in ``_DIAMOND_CACHE`` and forest values in one
+table keyed by forest, ``_SIGMA_FOREST``: a one-tree forest takes the
+grafting rule, any other forest the diamond product of its last tree's
+value with that of the trees before it. Every sum accumulates in place into
+one fresh dict (``lincomb.add_into``); memoized values are never mutated.
 """
 from __future__ import annotations
 
 from .hopf import HElem
 from .lincomb import Scalar, add_into
-from .trees import Forest, LEAF, Tree
-from .words import Poly, Y, op_R
+from .trees import Forest, LEAF
+from .words import ONE, Poly, Y, op_R
 
 _DIAMOND_CACHE: dict[tuple[str, str], Poly] = {}
 _FLIP = {"x": "y", "y": "x"}
@@ -60,26 +63,23 @@ def diamond(v: Poly, w: Poly) -> Poly:
     return Poly._wrap(acc)
 
 
-_SIGMA_TREE: dict[Tree, Poly] = {}
-
-
-def _sigma_tree(t: Tree) -> Poly:
-    cached = _SIGMA_TREE.get(t)
-    if cached is not None:
-        return cached
-    if t is LEAF:
-        out = Y
-    else:
-        out = op_R(sigma_forest(t.child_forest()))
-    _SIGMA_TREE[t] = out
-    return out
+_SIGMA_FOREST: dict[Forest, Poly] = {}
 
 
 def sigma_forest(f: Forest) -> Poly:
     """The polynomial value of a single forest (diamond product of tree values)."""
-    out = Poly.one()
-    for t in f.trees:
-        out = diamond(out, _sigma_tree(t))
+    if not f.trees:
+        return ONE
+    cached = _SIGMA_FOREST.get(f)
+    if cached is not None:
+        return cached
+    if len(f.trees) == 1:
+        t = f.trees[0]
+        out = Y if t is LEAF else op_R(sigma_forest(t.child_forest()))
+    else:
+        *init, last = f.trees
+        out = diamond(sigma_forest(Forest(init)), sigma_forest(last.as_forest()))
+    _SIGMA_FOREST[f] = out
     return out
 
 

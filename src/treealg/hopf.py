@@ -7,8 +7,10 @@ multiplicative on forests and is defined on a tree t = bplus(f) by
 
     delta(t) = t (x) 1  +  (id (x) bplus) delta(f).
 
-Coproducts are memoized per tree (``_TREE_DELTA``) and per forest
-(``_FOREST_DELTA``); memoized values are never mutated.
+Coproducts are memoized in one table keyed by forest, ``_FOREST_DELTA``: a
+one-tree forest takes the grafting rule above, any other forest the product
+of its last tree's coproduct with that of the trees before it. Memoized
+values are never mutated.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ from .trees import (
     EMPTY_FOREST,
     Forest,
     ForestSyntaxError,
-    Tree,
     bplus,
     forest_product,
     parse_forest,
@@ -82,30 +83,24 @@ def tensor_mul(u: TensorElem, v: TensorElem) -> TensorElem:
 
 
 _TENSOR_UNIT = TensorElem({(EMPTY_FOREST, EMPTY_FOREST): 1})
-_TREE_DELTA: dict[Tree, TensorElem] = {}
 _FOREST_DELTA: dict[Forest, TensorElem] = {}
 
 
-def _tree_coproduct(t: Tree) -> TensorElem:
-    cached = _TREE_DELTA.get(t)
-    if cached is not None:
-        return cached
-    acc = {(t.as_forest(), EMPTY_FOREST): 1}
-    # the lifted terms have a nonempty right factor: no key repeats
-    for (f1, f2), c in _forest_coproduct(t.child_forest()).terms.items():
-        acc[(f1, bplus(f2).as_forest())] = c
-    out = TensorElem._wrap(acc)
-    _TREE_DELTA[t] = out
-    return out
-
-
 def _forest_coproduct(f: Forest) -> TensorElem:
+    if not f.trees:
+        return _TENSOR_UNIT
     cached = _FOREST_DELTA.get(f)
     if cached is not None:
         return cached
-    out = _TENSOR_UNIT
-    for t in f.trees:
-        out = out * _tree_coproduct(t)
+    if len(f.trees) == 1:
+        acc = {(f, EMPTY_FOREST): 1}
+        # the lifted terms have a nonempty right factor: no key repeats
+        for (f1, f2), c in _forest_coproduct(f.trees[0].child_forest()).terms.items():
+            acc[(f1, bplus(f2).as_forest())] = c
+        out = TensorElem._wrap(acc)
+    else:
+        *init, last = f.trees
+        out = _forest_coproduct(Forest(init)) * _forest_coproduct(last.as_forest())
     _FOREST_DELTA[f] = out
     return out
 

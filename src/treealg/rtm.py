@@ -15,9 +15,11 @@ f(vx) + f(vy), which is therefore f(v)z; hence
 
     f(vy) = f(v)z - f(vx),
 
-which costs one pass over f(v) and f(vx). Values are memoized per (forest,
-word) in ``_ON_WORD_CACHE`` and per tree on x in ``_TREE_ON_X``, on top of
-the coproduct memos of ``hopf``. Every sum accumulates into a fresh dict
+which costs one pass over f(v) and f(vx); the word "y" is the case v = 1,
+so a tree's value on y is minus its value on x. Values are memoized in one
+table keyed by (forest, word), ``_ON_WORD_CACHE``, on top of the coproduct
+memo of ``hopf``; on x, a one-tree forest takes the grafting rule and any
+other forest the composition rule. Every sum accumulates into a fresh dict
 (``lincomb``), every memo entry is built compact (no slots left by deleted
 keys), and memoized values are never mutated.
 """
@@ -32,21 +34,13 @@ from .words import Poly, X, op_R
 
 _XY = Poly._wrap({"xy": 1})
 _ON_WORD_CACHE: dict[tuple[Forest, str], Poly] = {}
-_TREE_ON_X: dict[Tree, Poly] = {}
 
 
 def rtm_tree_on_letter(t: Tree, v: str) -> Poly:
     """Value of a single tree on the letter "x" or "y"."""
     if v not in ("x", "y"):
         raise ValueError(f"expected letter 'x' or 'y', got {v!r}")
-    on_x = _TREE_ON_X.get(t)
-    if on_x is None:
-        if t is LEAF:
-            on_x = _XY
-        else:
-            on_x = op_R(_forest_on_word(t.child_forest(), "x"))
-        _TREE_ON_X[t] = on_x
-    return on_x if v == "x" else -on_x
+    return _forest_on_word(t.as_forest(), v)
 
 
 def _forest_on_word(f: Forest, w: str) -> Poly:
@@ -78,7 +72,8 @@ def _forest_on_word(f: Forest, w: str) -> Poly:
                 add_product_into(acc, left, _forest_on_word(f2, "x").terms, add, c)
         out = Poly(acc)
     elif len(f.trees) == 1:
-        out = rtm_tree_on_letter(f.trees[0], "x")
+        t = f.trees[0]
+        out = _XY if t is LEAF else op_R(_forest_on_word(t.child_forest(), "x"))
     else:
         # composition: first canonical tree applied after the rest
         head, rest = f.trees[0], Forest(f.trees[1:])

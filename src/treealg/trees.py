@@ -3,7 +3,9 @@
 A tree is written in bracket notation, ``tree := "[" tree* "]"``; a forest
 is ``"1"`` (the empty forest) or a space-separated product of trees.
 Children and forest components are kept sorted by their bracket encoding,
-so structural equality coincides with encoding equality.
+so structural equality coincides with encoding equality. Trees and forests
+are interned by that encoding, so equal means identical. ``Tree._pool`` and
+``Forest._pool`` hold that identity, not a cache, and must never be cleared.
 """
 from __future__ import annotations
 
@@ -27,12 +29,7 @@ def _tree_key(t: "Tree") -> tuple[int, str]:
 
 
 class Tree:
-    """An unordered rooted tree, interned by canonical encoding.
-
-    Instances are immutable and shared: building the same tree twice yields
-    the identical object, so identity comparison and hashing are cheap.
-    Interning never changes observable behaviour.
-    """
+    """An unordered rooted tree, immutable and interned."""
 
     __slots__ = ("children", "encoding", "degree")
 
@@ -54,6 +51,10 @@ class Tree:
     def __lt__(self, other: "Tree") -> bool:
         return _tree_key(self) < _tree_key(other)
 
+    def __reduce__(self):
+        # copies and unpickled objects are rebuilt through the pool
+        return (Tree, (self.children,))
+
     def __repr__(self) -> str:
         return f"Tree({self.encoding!r})"
 
@@ -66,24 +67,31 @@ class Tree:
 
 
 class Forest:
-    """A commutative multiset of rooted trees; the empty forest is the unit."""
+    """A commutative multiset of rooted trees, immutable and interned; the
+    empty forest is the unit."""
 
     __slots__ = ("trees", "encoding", "degree")
 
-    def __init__(self, trees: Iterable[Tree] = ()):
+    _pool: dict[str, "Forest"] = {}
+
+    def __new__(cls, trees: Iterable[Tree] = ()) -> "Forest":
         ts = tuple(sorted(trees, key=_tree_key))
+        encoding = " ".join(t.encoding for t in ts) if ts else "1"
+        cached = cls._pool.get(encoding)
+        if cached is not None:
+            return cached
+        self = object.__new__(cls)
         self.trees = ts
-        self.encoding = " ".join(t.encoding for t in ts) if ts else "1"
+        self.encoding = encoding
         self.degree = sum(t.degree for t in ts)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Forest) and self.encoding == other.encoding
-
-    def __hash__(self) -> int:
-        return hash(self.encoding)
+        cls._pool[encoding] = self
+        return self
 
     def __lt__(self, other: "Forest") -> bool:
         return (self.degree, self.encoding) < (other.degree, other.encoding)
+
+    def __reduce__(self):
+        return (Forest, (self.trees,))
 
     def __bool__(self) -> bool:
         return bool(self.trees)

@@ -117,7 +117,8 @@ def parse_poly(text: str) -> Poly:
     """Parse polynomial text: signed terms ``[rational "*"] word``.
 
     Whitespace is insignificant; rationals are "p" or "p/q"; the unit word
-    is "1"; "*" between coefficient and word is optional.
+    is "1"; "*" between coefficient and word is optional, but a "*" must be
+    followed by a word.
     """
     s = text
     i = 0
@@ -176,6 +177,8 @@ def parse_poly(text: str) -> Poly:
             i = skip_ws(i)
             if i < n and s[i] == "*":
                 i = skip_ws(i + 1)
+                if i == n or s[i] not in "xy1":
+                    raise PolySyntaxError("expected a word after '*'", i)
         # word: letters x/y (whitespace-tolerant), or "1", or nothing after
         # an explicit coefficient (a constant term)
         letters = ""

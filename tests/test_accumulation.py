@@ -9,6 +9,7 @@ coefficient, must hold no zero coefficient, and must return an equal result
 when called again, so that a memo entry changed through an aliased
 accumulator shows up.
 """
+import importlib
 import operator
 from fractions import Fraction
 
@@ -31,6 +32,9 @@ from treealg import (
 )
 
 from conftest import all_words, forests_up_to
+
+# the package attribute treealg.diamond is the function, not the module
+diamond_module = importlib.import_module("treealg.diamond")
 
 # --- reference: the plain fold on dicts ------------------------------------
 
@@ -301,15 +305,21 @@ class TestZIdentity:
 
 
 def _clear_memos():
-    for table in (rtm._ON_WORD_CACHE, rtm._TREE_ON_X, hopf._TREE_DELTA, hopf._FOREST_DELTA):
+    tables = (
+        diamond_module._DIAMOND_CACHE,
+        diamond_module._SIGMA_FOREST,
+        rtm._ON_WORD_CACHE,
+        hopf._FOREST_DELTA,
+    )
+    for table in tables:
         table.clear()
 
 
 class TestColdAndWarm:
-    """rtm_apply against the reference from empty memo tables, then again
-    from the tables the first call filled: an entry that is wrong, stored
-    before it is complete or changed after it is stored shows up in one of
-    the two."""
+    """rtm_apply, sigma and coproduct against the reference from empty memo
+    tables, then again from the tables the first call filled: an entry that
+    is wrong, stored before it is complete or changed after it is stored
+    shows up in one of the two."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -322,3 +332,19 @@ class TestColdAndWarm:
         _clear_memos()
         # the first call runs cold, the second from the filled tables
         _assert_matches(rtm_apply, (f, w), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(helems(), st.sampled_from(RELATIONS + sigma_kernel(4))))
+    @example(HElem({bplus(forest_product(LEAF.as_forest(), LEAF.as_forest())).as_forest(): 1}))
+    def test_sigma(self, a):
+        expected = ref_sigma(a.terms)
+        _clear_memos()
+        _assert_matches(sigma, (a,), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(helems(), st.sampled_from(RELATIONS)))
+    @example(HElem({forest_product(LEAF.as_forest(), bplus(LEAF.as_forest()).as_forest()): 1}))
+    def test_coproduct(self, a):
+        expected = ref_coproduct(a.terms)
+        _clear_memos()
+        _assert_matches(coproduct, (a,), expected)

@@ -194,6 +194,25 @@ class TestErrors:
         assert out == ""
         assert "dangling sign (at position 5)" in err
 
+    @pytest.mark.parametrize(
+        "poly, position", [("x - 3*", 6), ("2*", 2), ("2* + x", 3), ("2 *  ", 5)]
+    )
+    def test_star_without_word_rejected(self, capsys, poly, position):
+        code, out, err = invoke(capsys, "apply", "[]", poly)
+        assert code == 2
+        assert out == ""
+        assert f"expected a word after '*' (at position {position})" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("kernel", "0"), "degree must be >= 1"),
+            (("relation", "0", "2"), "both ladder lengths must be >= 1"),
+        ],
+    )
+    def test_out_of_range_arguments_exact(self, capsys, argv, message):
+        assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_zero_denominator_in_poly(self, capsys):
         code, _, err = invoke(capsys, "diamond", "x", "1/0")
         assert code == 2

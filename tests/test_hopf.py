@@ -9,6 +9,7 @@ from treealg import (
     TensorElem,
     coproduct,
     enumerate_forests,
+    ladder,
     parse_forest,
     parse_helem,
     print_helem,
@@ -105,6 +106,13 @@ class TestCoproduct:
             f, g = rng.choice(pool), rng.choice(pool)
             a, b = HElem.from_forest(f), HElem.from_forest(g)
             assert coproduct(a * b) == tensor_mul(coproduct(a), coproduct(b))
+
+    def test_deep_ladder(self):
+        # one stack frame per grafting level: depth 600 stays under the
+        # interpreter's default recursion limit of 1000
+        delta = coproduct(HElem.from_forest(ladder(600)))
+        assert len(delta.terms) == 601
+        assert delta.terms[(ladder(200), ladder(400))] == 1
 
     def test_coassociative_small(self):
         for d in range(6):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -107,6 +110,34 @@ class TestConstruction:
         while t.children:
             assert len(t.children) == 1
             t = t.children[0]
+
+
+class TestInterning:
+    """Equal forests are the identical object, as equal trees are."""
+
+    def test_parse_order_insensitive(self):
+        assert parse_forest("[[]] []") is parse_forest("[] [[]]")
+
+    def test_product_commutes_to_one_object(self):
+        a, b = parse_forest("[[]]"), parse_forest("[] [[][]]")
+        assert forest_product(a, b) is forest_product(b, a)
+        assert forest_product(a, EMPTY_FOREST) is a
+
+    def test_every_small_forest_is_interned(self):
+        for d in range(9):
+            for f in enumerate_forests(d):
+                assert parse_forest(f.encoding) is f
+                assert Forest(reversed(f.trees)) is f
+
+    def test_copies_are_the_interned_objects(self):
+        f = parse_forest("[] [[]] [[][[]]]")
+        for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert copied is f
+        (t,) = ladder(2).trees
+        assert copy.deepcopy(t) is t
+        assert pickle.loads(pickle.dumps(t)) is t
+        # the pool entries the copies went through are unchanged
+        assert LEAF.encoding == "[]" and EMPTY_FOREST.encoding == "1"
 
 
 class TestEnumeration:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import attrgetter
 
 from .lincomb import LinComb, Scalar, add_into, format_terms
 from .trees import (
@@ -32,6 +33,7 @@ class HElem(LinComb):
     """An element of the forest algebra: finite map forest -> rational."""
 
     __slots__ = ()
+    _degree = attrgetter("degree")
 
     @classmethod
     def from_forest(cls, f: Forest, coeff: Scalar = 1) -> "HElem":
@@ -40,15 +42,6 @@ class HElem(LinComb):
     @classmethod
     def one(cls) -> "HElem":
         return cls._wrap({EMPTY_FOREST: 1})
-
-    def homogeneous_degree(self) -> int | None:
-        """The common degree of all forests, or None if mixed (zero -> 0)."""
-        degrees = {f.degree for f in self.terms}
-        if not degrees:
-            return 0
-        if len(degrees) > 1:
-            return None
-        return degrees.pop()
 
     def __mul__(self, other: "HElem") -> "HElem":
         return self._product(other, forest_product)
@@ -76,10 +69,6 @@ class TensorElem(LinComb):
 
     def __repr__(self) -> str:
         return f"TensorElem({print_tensor(self)!r})"
-
-
-def tensor_mul(u: TensorElem, v: TensorElem) -> TensorElem:
-    return u * v
 
 
 _TENSOR_UNIT = TensorElem({(EMPTY_FOREST, EMPTY_FOREST): 1})

@@ -1,12 +1,15 @@
 """Exact linear algebra and the degree-graded basis analysis.
 
-``RationalMatrix`` holds exact ``Fraction`` entries and eliminates them
-fraction-free over the integers (Bareiss), so its ranks, reduced echelon
-forms, solutions and kernels are exact ``Fraction`` results computed without
-a gcd per step; ``BitMatrix`` packs rows into Python ints for elimination
-over GF(2). On top of these sit the basis family (grown from the empty forest
-by grafting and by multiplying with the leaf), the change-of-basis matrix
-to the y-ending word basis, and per-degree kernel computation.
+``RationalMatrix`` is a dense exact matrix over Q that keeps its entries
+as given: an ``int`` stays an ``int``, anything else becomes a
+``Fraction``. It eliminates fraction-free over the integers (Bareiss) with
+one routine: ``rank`` and ``solve`` stop at echelon form (``solve`` then
+back-substitutes over the pivot rows), ``rref`` and ``nullspace`` run the
+full Gauss-Jordan pass; every result is exact, in ``Fraction`` entries.
+``BitMatrix`` packs rows into Python ints for elimination over GF(2). On
+top of these sit the basis family (grown from the empty forest by grafting
+and by multiplying with the leaf), the change-of-basis matrix to the
+y-ending word basis, and per-degree kernel computation.
 """
 from __future__ import annotations
 
@@ -21,6 +24,53 @@ from .trees import EMPTY_FOREST, Forest, LEAF, bplus, enumerate_forests, forest_
 from .words import Poly
 
 
+def _bareiss(
+    entries: list[list[Fraction | int]], reduce_above: bool
+) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free elimination (Bareiss) over the integers.
+
+    An all-int row is taken as is; any other row is scaled by the lcm of its
+    denominators, which changes neither the rank, the pivots nor the RREF.
+    Each row below a pivot becomes ``(p·row − row[c]·pivot_row) // prev``,
+    exact by Sylvester's identity; with ``reduce_above`` so does each row
+    above it (Gauss-Jordan), else those are left as they are (echelon
+    form). Returns the integer rows, the pivot columns and the last pivot
+    D. After Gauss-Jordan every pivot entry equals D, and the RREF is every
+    entry divided by D (D = 1 when there is no pivot).
+    """
+    m = []
+    for row in entries:
+        if not all(type(e) is int for e in row):
+            scale = lcm(*(e.denominator for e in row))
+            row = [e.numerator * (scale // e.denominator) for e in row]
+        m.append(row)
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        if r == len(m):
+            break
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        top = m[r]
+        p = top[c]
+        for i in range(0 if reduce_above else r + 1, len(m)):
+            if i == r:
+                continue
+            row = m[i]
+            a = row[c]
+            if a:
+                m[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+            else:
+                m[i] = [p * x // prev for x in row]
+        prev = p
+        pivots.append(c)
+        r += 1
+    return m, pivots, prev
+
+
 class RationalMatrix:
     """A dense exact matrix over Q."""
 
@@ -29,7 +79,7 @@ class RationalMatrix:
             width = len(entries[0])
             if any(len(row) != width for row in entries):
                 raise ValueError("ragged rows")
-        self.entries = [[Fraction(e) for e in row] for row in entries]
+        self.entries = [[e if type(e) is int else Fraction(e) for e in row] for row in entries]
 
     @property
     def rows(self) -> int:
@@ -42,74 +92,41 @@ class RationalMatrix:
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix([list(col) for col in zip(*self.entries)] if self.entries else [])
 
-    def _fraction_free_rref(self) -> tuple[list[list[int]], list[int], int]:
-        """Fraction-free Gauss-Jordan elimination (Bareiss) over the integers.
-
-        Each row is first scaled by the lcm of its denominators, which
-        changes neither the rank, the pivots nor the RREF. Returns the
-        eliminated integer rows, the pivot columns and the last pivot D: the
-        RREF is every entry divided by D, since every pivot entry ends equal
-        to D (D = 1 when there is no pivot).
-        """
-        m = []
-        for row in self.entries:
-            scale = lcm(*(e.denominator for e in row))
-            m.append([e.numerator * (scale // e.denominator) for e in row])
-        pivots: list[int] = []
-        prev = 1
-        r = 0
-        for c in range(self.cols):
-            pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            top = m[r]
-            p = top[c]
-            for i, row in enumerate(m):
-                if i == r:
-                    continue
-                a = row[c]
-                # exact divisions, by Sylvester's identity
-                if a:
-                    m[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
-                else:
-                    m[i] = [p * x // prev for x in row]
-            prev = p
-            pivots.append(c)
-            r += 1
-            if r == len(m):
-                break
-        return m, pivots, prev
-
     def rref(self) -> tuple["RationalMatrix", list[int]]:
         """Reduced row-echelon form and the pivot column indices."""
-        m, pivots, d = self._fraction_free_rref()
+        m, pivots, d = _bareiss(self.entries, reduce_above=True)
         return RationalMatrix([[Fraction(x, d) for x in row] for row in m]), pivots
 
     def rank(self) -> int:
-        return len(self._fraction_free_rref()[1])
+        return len(_bareiss(self.entries, reduce_above=False)[1])
 
     def solve(self, rhs: list[Fraction | int]) -> list[Fraction]:
-        """Solve A v = rhs; requires a unique solution."""
+        """Solve A v = rhs; requires a unique solution.
+
+        The augmented system is brought to echelon form, where the pivot of
+        row c sits in column c and the last pivot is D. Each D·v[c] is an
+        integer (Cramer's rule on the pivot rows), so back-substitution
+        finds it by exact division."""
         if len(rhs) != self.rows:
             raise ValueError("right-hand side length mismatch")
-        augmented = RationalMatrix(
-            [row + [Fraction(b)] for row, b in zip(self.entries, rhs)]
-        )
-        m, pivots, d = augmented._fraction_free_rref()
-        if self.cols in pivots:
+        n = self.cols
+        augmented = RationalMatrix([row + [b] for row, b in zip(self.entries, rhs)])
+        m, pivots, d = _bareiss(augmented.entries, reduce_above=False)
+        if n in pivots:
             raise ValueError("inconsistent system")
-        if len(pivots) != self.cols:
+        if len(pivots) != n:
             raise ValueError("system is underdetermined")
-        sol = [Fraction(0)] * self.cols
-        for r, c in enumerate(pivots):
-            sol[c] = Fraction(m[r][self.cols], d)
-        return sol
+        scaled = [0] * n
+        for c in reversed(range(n)):
+            row = m[c]
+            rest = sum(row[j] * scaled[j] for j in range(c + 1, n))
+            scaled[c] = (d * row[n] - rest) // row[c]
+        return [Fraction(v, d) for v in scaled]
 
     def nullspace(self) -> list[list[Fraction]]:
         """Basis of the right kernel, one vector per free column, in
         ascending free-column order; free entries normalized to 1."""
-        m, pivots, d = self._fraction_free_rref()
+        m, pivots, d = _bareiss(self.entries, reduce_above=True)
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
         for fc in free:
@@ -123,13 +140,9 @@ class RationalMatrix:
     def mod2(self) -> "BitMatrix":
         rows = []
         for row in self.entries:
-            bits = 0
-            for c, e in enumerate(row):
-                if e.denominator != 1:
-                    raise ValueError("entry is not an integer")
-                if e.numerator % 2:
-                    bits |= 1 << c
-            rows.append(bits)
+            if any(e.denominator != 1 for e in row):
+                raise ValueError("entry is not an integer")
+            rows.append(sum(1 << c for c, e in enumerate(row) if e.numerator % 2))
         return BitMatrix(rows, self.cols)
 
 

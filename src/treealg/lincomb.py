@@ -2,12 +2,13 @@
 
 A combination is an immutable map key -> nonzero rational. ``LinComb``
 owns the linear structure (sums, negation, scalar multiples, type-strict
-equality, zero-pruning); each subclass adds its own key type, product and
-printer. Sums are accumulated in place: ``add_into`` and
-``add_product_into`` add into a plain dict, which becomes a combination once
-at the end, so a k-term sum costs O(total terms), not O(k^2). Accumulators
-are always fresh dicts: a value's ``terms``, memoized or not, is only ever
-read, never mutated.
+equality, zero-pruning) and the degrees of its keys, read through
+``_degree``, which ``Poly`` (word length) and ``HElem`` (forest degree) set;
+each subclass adds its own key type, product and printer. Sums are
+accumulated in place: ``add_into`` and ``add_product_into`` add into a plain
+dict, which becomes a combination once at the end, so a k-term sum costs
+O(total terms), not O(k^2). Accumulators are always fresh dicts: a value's
+``terms``, memoized or not, is only ever read, never mutated.
 """
 from __future__ import annotations
 
@@ -90,6 +91,15 @@ class LinComb:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def homogeneous_degree(self) -> int | None:
+        """The common degree of all keys, None if mixed (zero -> 0)."""
+        degrees = set(map(self._degree, self.terms))
+        return None if len(degrees) > 1 else max(degrees, default=0)
+
+    def max_degree(self) -> int:
+        """The largest degree of a key (zero -> 0)."""
+        return max(map(self._degree, self.terms), default=0)
 
     def _plus(self: C, other: C, scale: Scalar) -> C:
         if type(other) is not type(self):

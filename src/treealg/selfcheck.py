@@ -12,6 +12,7 @@ from typing import Callable, Iterator
 
 from .diamond import diamond, sigma, sigma_forest
 from .hopf import HElem, coproduct
+from .lincomb import add_into
 from .linalg import basis_forests, basis_matrix, check_mod2_invertible, sigma_kernel
 from .relations import verify_fmn
 from .rtm import rtm_apply
@@ -58,14 +59,10 @@ def _check_coassociativity(max_degree: int) -> bool:
             right: dict = {}
             delta = coproduct(HElem.from_forest(f))
             for (f1, f2), c in delta.terms.items():
-                for (g1, g2), e in coproduct(HElem.from_forest(f2)).terms.items():
-                    key = (f1, g1, g2)
-                    left[key] = left.get(key, 0) + c * e
-                for (g1, g2), e in coproduct(HElem.from_forest(f1)).terms.items():
-                    key = (g1, g2, f2)
-                    right[key] = right.get(key, 0) + c * e
-            left = {k: v for k, v in left.items() if v}
-            right = {k: v for k, v in right.items() if v}
+                lifted = coproduct(HElem.from_forest(f2)).terms.items()
+                add_into(left, {(f1, g1, g2): e for (g1, g2), e in lifted}, c)
+                lifted = coproduct(HElem.from_forest(f1)).terms.items()
+                add_into(right, {(g1, g2, f2): e for (g1, g2), e in lifted}, c)
             if left != right:
                 return False
     return True

@@ -117,10 +117,6 @@ def forest_product(f: Forest, g: Forest) -> Forest:
     return Forest(f.trees + g.trees)
 
 
-def degree(f: Forest) -> int:
-    return f.degree
-
-
 def ladder(n: int) -> Forest:
     """The chain with n vertices, as a forest; ladder(0) is the empty forest."""
     if n < 0:
@@ -129,10 +125,6 @@ def ladder(n: int) -> Forest:
     for _ in range(n):
         f = bplus(f).as_forest()
     return f
-
-
-def print_forest(f: Forest) -> str:
-    return f.encoding
 
 
 def parse_forest(text: str) -> Forest:
@@ -173,6 +165,26 @@ def _parse_tree(text: str, i: int) -> tuple[Tree, int]:
             i += 1
         else:
             raise ForestSyntaxError(f"unexpected character {c!r}", i)
+
+
+def count_trees(n: int) -> int:
+    """The number of trees with n vertices (OEIS A000081), not enumerated:
+    a(n+1) = (1/n) sum_{k=1..n} s(k) a(n+1-k), s(k) = sum_{e | k} e a(e)."""
+    if n < 1:
+        raise ValueError("tree degree must be >= 1")
+    a, s = [0, 1], [0]
+    for k in range(1, n):
+        s.append(sum(e * a[e] for e in range(1, k + 1) if k % e == 0))
+        a.append(sum(s[j] * a[k + 1 - j] for j in range(1, k + 1)) // k)
+    return a[n]
+
+
+def count_forests(n: int) -> int:
+    """The number of forests with n vertices: bplus maps them one to one
+    onto the trees with n + 1 vertices."""
+    if n < 0:
+        raise ValueError("forest degree must be >= 0")
+    return count_trees(n + 1)
 
 
 @lru_cache(maxsize=None)

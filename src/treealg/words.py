@@ -26,6 +26,7 @@ class Poly(LinComb):
     """A finite Q-linear combination of words over {x, y}."""
 
     __slots__ = ()
+    _degree = len
 
     @classmethod
     def from_word(cls, w: str, coeff: Scalar = 1) -> "Poly":
@@ -37,15 +38,6 @@ class Poly(LinComb):
     @classmethod
     def one(cls) -> "Poly":
         return cls._wrap({"": 1})
-
-    def homogeneous_degree(self) -> int | None:
-        """Common word length of all terms, None if mixed (zero -> 0)."""
-        lengths = {len(w) for w in self.terms}
-        if not lengths:
-            return 0
-        if len(lengths) > 1:
-            return None
-        return lengths.pop()
 
     def ends_in_y(self) -> bool:
         """True if every term is a nonempty word ending in y."""
@@ -63,15 +55,6 @@ X = Poly._wrap({"x": 1})
 Y = Poly._wrap({"y": 1})
 ONE = Poly.one()
 Z = X + Y
-
-
-def concat(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
-def right_mul(v: Poly, w: Poly) -> Poly:
-    """The operator R_w: v -> vw."""
-    return v * w
 
 
 def strip_y(v: Poly) -> Poly:

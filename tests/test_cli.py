@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import treealg
 from treealg import selfcheck
-from treealg.cli import run
+from treealg.cli import MAX_OUTPUT_DEGREE, run
 
 # Exact stdout, text and --json, of one command per algebra subcommand: any
 # refactor of the combination classes or their printers must keep it.
@@ -47,6 +48,34 @@ class TestEnumeration:
             "degree": 4,
             "count": 4,
         }
+
+    @pytest.mark.parametrize("command", ["trees", "forests"])
+    def test_counts_without_enumeration(self, capsys, command):
+        listing = {"trees": treealg.enumerate_trees, "forests": treealg.enumerate_forests}
+        for n in range(0 if command == "forests" else 1, 11):
+            count = len(listing[command](n))
+            if command == "trees":
+                assert count == selfcheck.TREE_COUNTS[n - 1]
+            assert invoke(capsys, command, str(n), "--count-only") == (0, f"{count}\n", "")
+            code, out, err = invoke(capsys, "--json", command, str(n), "--count-only")
+            expected = {"schema": 1, "command": command, "degree": n, "count": count}
+            assert (code, out, err) == (0, json.dumps(expected, sort_keys=True) + "\n", "")
+            code, out, _ = invoke(capsys, "--json", command, str(n))
+            assert json.loads(out)["count"] == count
+
+    def test_count_far_beyond_enumeration(self, capsys):
+        assert invoke(capsys, "trees", "30", "--count-only") == (0, "354426847597\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("trees", "0", "--count-only"), "tree degree must be >= 1"),
+            (("trees", "-2"), "tree degree must be >= 1"),
+            (("forests", "-1", "--count-only"), "forest degree must be >= 0"),
+        ],
+    )
+    def test_counts_out_of_range(self, capsys, argv, message):
+        assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 class TestAlgebraCommands:
@@ -212,6 +241,30 @@ class TestErrors:
     )
     def test_out_of_range_arguments_exact(self, capsys, argv, message):
         assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, degree",
+        [
+            (("sigma", "[" * 900 + "]" * 900), 900),
+            (("diamond", "x" * 1500, "x"), 1501),
+            (("apply", "[] - [[]] [[]]", "xy + " + "y" * 16), 20),
+            (("sigma", " ".join(["[]"] * 20)), 20),
+        ],
+    )
+    def test_output_degree_above_cap(self, capsys, argv, degree):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: output degree {degree} is above the cap "
+            f"MAX_OUTPUT_DEGREE = {MAX_OUTPUT_DEGREE}\n"
+        )
+
+    def test_output_degree_at_cap_accepted(self, capsys):
+        code, out, _ = invoke(capsys, "diamond", "x" * (MAX_OUTPUT_DEGREE - 1), "x")
+        assert code == 0
+        assert out.startswith("x" * MAX_OUTPUT_DEGREE)
 
     def test_zero_denominator_in_poly(self, capsys):
         code, _, err = invoke(capsys, "diamond", "x", "1/0")

@@ -2,7 +2,6 @@ import random
 
 from treealg import (
     HElem,
-    concat,
     diamond,
     enumerate_forests,
     ladder,
@@ -51,9 +50,9 @@ class TestDiamondProduct:
         pool = all_words(3)
         for _ in range(200):
             v, w = word(rng.choice(pool)), word(rng.choice(pool))
-            left = diamond(concat(v, Z), w)
-            mid = diamond(v, concat(w, Z))
-            right = concat(diamond(v, w), Z)
+            left = diamond(v * Z, w)
+            mid = diamond(v, w * Z)
+            right = diamond(v, w) * Z
             assert left == mid == right
 
     def test_three_term_expansion(self):

@@ -14,7 +14,6 @@ from treealg import (
     parse_helem,
     print_helem,
     print_tensor,
-    tensor_mul,
 )
 
 
@@ -44,6 +43,10 @@ class TestAlgebra:
         assert helem("[[]] + [] []").homogeneous_degree() == 2
         assert helem("[[]] + []").homogeneous_degree() is None
         assert HElem.zero().homogeneous_degree() == 0
+
+    def test_max_degree(self):
+        assert helem("[[]] + [] [] [] - 1").max_degree() == 3
+        assert HElem.zero().max_degree() == 0
 
 
 class TestTextForm:
@@ -105,7 +108,7 @@ class TestCoproduct:
         for _ in range(50):
             f, g = rng.choice(pool), rng.choice(pool)
             a, b = HElem.from_forest(f), HElem.from_forest(g)
-            assert coproduct(a * b) == tensor_mul(coproduct(a), coproduct(b))
+            assert coproduct(a * b) == coproduct(a) * coproduct(b)
 
     def test_deep_ladder(self):
         # one stack frame per grafting level: depth 600 stays under the
@@ -142,11 +145,11 @@ class TestTensorAlgebra:
     def test_unit(self):
         unit = TensorElem({(EMPTY_FOREST, EMPTY_FOREST): 1})
         u = coproduct(helem("[[]]"))
-        assert tensor_mul(unit, u) == u
+        assert unit * u == u
 
     def test_square_of_primitive_sum(self):
         u = coproduct(helem("[]"))
-        assert tensor_mul(u, u) == coproduct(helem("[] []"))
+        assert u * u == coproduct(helem("[] []"))
 
     def test_componentwise(self):
         a = TensorElem({(parse_forest("[]"), parse_forest("[[]]")): 1})
@@ -154,4 +157,4 @@ class TestTensorAlgebra:
         expected = TensorElem(
             {(parse_forest("[] [[]]"), parse_forest("[] [[]]")): 1}
         )
-        assert tensor_mul(a, b) == expected
+        assert a * b == expected

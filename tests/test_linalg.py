@@ -50,6 +50,17 @@ class TestRationalMatrix:
         (v,) = m.nullspace()
         assert v == [Fraction(-1), Fraction(1), Fraction(0)]
 
+    def test_entries_kept_as_given(self):
+        m = RationalMatrix([[1, Fraction(1, 2)], [Fraction(4, 2), -3]])
+        assert m.entries == [[1, Fraction(1, 2)], [2, -3]]
+        assert [type(e) for e in m.entries[0]] == [int, Fraction]
+        assert [type(e) for e in m.transpose().entries[0]] == [int, Fraction]
+        assert RationalMatrix([[3, Fraction(4, 2)], [0, -3]]).mod2().row_bits == [1, 2]
+
+    def test_solve_returns_fractions_on_int_input(self):
+        sol = RationalMatrix([[2, 0], [1, 1]]).solve([4, 3])
+        assert [type(v) for v in sol] == [Fraction, Fraction]
+
     def test_mod2_requires_integers(self):
         with pytest.raises(ValueError):
             RationalMatrix([[Fraction(1, 2)]]).mod2()
@@ -81,23 +92,27 @@ small_rationals = st.one_of(
 )
 
 
+small_ints = st.integers(-4, 4)
+
+
 @st.composite
-def matrices(draw):
+def matrices(draw, entries=small_rationals):
     """0-8 rows by 1-8 columns (wide and tall). Rows past the first few
     independent draws are combinations of earlier rows or all-zero rows,
-    which makes many of the matrices rank-deficient."""
+    which makes many of the matrices rank-deficient. Entries mix ints and
+    Fractions unless ``entries`` draws ints only."""
     cols = draw(st.integers(1, 8))
     n = draw(st.integers(0, 8))
     rows = draw(
         st.lists(
-            st.lists(small_rationals, min_size=cols, max_size=cols),
+            st.lists(entries, min_size=cols, max_size=cols),
             max_size=n,
         )
     )
     while len(rows) < n:
         if rows and draw(st.booleans()):
             a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-            x, y = draw(small_rationals), draw(small_rationals)
+            x, y = draw(entries), draw(entries)
             rows.append([x * u + y * v for u, v in zip(a, b)])
         else:
             rows.append([0] * cols)
@@ -105,12 +120,54 @@ def matrices(draw):
 
 
 def times(m, v):
-    return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in m.entries]
+    """m v, with int entries where m and v hold only ints."""
+    return [sum(a * b for a, b in zip(row, v)) for row in m.entries]
+
+
+@st.composite
+def square_systems(draw, entries=small_rationals):
+    """A square matrix of 1-8 columns, nonsingular or not, stacked over 0-3
+    combinations of its rows (tall when any), with a right-hand side in
+    its column space."""
+    cols = draw(st.integers(1, 8))
+    rows = draw(
+        st.lists(
+            st.lists(entries, min_size=cols, max_size=cols),
+            min_size=cols,
+            max_size=cols,
+        )
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        x, y = draw(entries), draw(entries)
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows.append([x * u + y * v for u, v in zip(a, b)])
+    m = RationalMatrix(draw(st.permutations(rows)))
+    return m, times(m, draw(st.lists(entries, min_size=cols, max_size=cols)))
+
+
+def check_solve(m, rhs):
+    """m.solve(rhs) against the reference RREF of the augmented system:
+    the same values, as Fraction instances, or ValueError when the system
+    has no unique solution."""
+    augmented = [row + [Fraction(b)] for row, b in zip(m.entries, rhs)]
+    red, pivots = reference_rref(augmented, m.cols + 1)
+    if pivots != list(range(m.cols)):
+        with pytest.raises(ValueError):
+            m.solve(rhs)
+        return
+    sol = m.solve(rhs)
+    assert sol == [red[r][m.cols] for r in range(m.cols)]
+    assert all(type(v) is Fraction for v in sol)
+    assert times(m, sol) == rhs
 
 
 class TestEliminationAgainstReference:
     @given(matrices())
     def test_rank(self, m):
+        assert m.rank() == len(reference_rref(m.entries, m.cols)[1])
+
+    @given(matrices(entries=small_ints))
+    def test_rank_all_int(self, m):
         assert m.rank() == len(reference_rref(m.entries, m.cols)[1])
 
     @given(matrices())
@@ -139,15 +196,35 @@ class TestEliminationAgainstReference:
             rhs = times(m, x)
         else:
             rhs = data.draw(st.lists(small_rationals, min_size=m.rows, max_size=m.rows))
-        augmented = [row + [Fraction(b)] for row, b in zip(m.entries, rhs)]
-        red, pivots = reference_rref(augmented, m.cols + 1)
-        if pivots != list(range(m.cols)):
-            with pytest.raises(ValueError):
-                m.solve(rhs)
-            return
-        sol = m.solve(rhs)
-        assert sol == [red[r][m.cols] for r in range(m.cols)]
-        assert times(m, sol) == rhs
+        check_solve(m, rhs)
+
+    @given(square_systems())
+    def test_solve_square_and_tall(self, system):
+        check_solve(*system)
+
+    @given(square_systems(entries=small_ints))
+    def test_solve_square_and_tall_all_int(self, system):
+        check_solve(*system)
+
+    @given(matrices(entries=small_ints), st.data())
+    def test_solve_all_int(self, m, data):
+        x = data.draw(st.lists(small_ints, min_size=m.cols, max_size=m.cols))
+        check_solve(m, times(m, x))
+
+    def test_solve_int_and_fraction_rows(self):
+        m = RationalMatrix([[2, Fraction(1, 3), 0], [1, 1, 1], [Fraction(1, 2), 0, 3]])
+        x = [Fraction(1, 5), -2, 7]
+        sol = m.solve(times(m, x))
+        assert sol == x
+        assert all(type(v) is Fraction for v in sol)
+
+    def test_solve_wide_is_underdetermined(self):
+        with pytest.raises(ValueError, match="underdetermined"):
+            RationalMatrix([[1, 2, 3], [0, 1, 1]]).solve([1, 1])
+
+    def test_solve_tall_inconsistent(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            RationalMatrix([[1, 0], [0, 1], [1, 1]]).solve([1, 1, 3])
 
 
 class TestBitMatrix:

@@ -5,7 +5,6 @@ import pytest
 from treealg import (
     HElem,
     LEAF,
-    concat,
     diamond,
     enumerate_forests,
     enumerate_trees,

@@ -10,13 +10,13 @@ from treealg import (
     ForestSyntaxError,
     LEAF,
     bplus,
-    degree,
+    count_forests,
+    count_trees,
     enumerate_forests,
     enumerate_trees,
     forest_product,
     ladder,
     parse_forest,
-    print_forest,
 )
 
 TREE_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
@@ -37,7 +37,7 @@ class TestParsing:
 
     def test_degree_four_tree(self):
         f = parse_forest("[[][[]]]")
-        assert degree(f) == 4
+        assert f.degree == 4
         (t,) = f.trees
         assert [c.degree for c in t.children] == [1, 2]
 
@@ -46,7 +46,7 @@ class TestParsing:
 
     def test_tree_order_insensitive(self):
         assert parse_forest("[[]] []") == parse_forest("[] [[]]")
-        assert print_forest(parse_forest("[[]] []")) == "[] [[]]"
+        assert parse_forest("[[]] []").encoding == "[] [[]]"
 
     @pytest.mark.parametrize("bad", ["", "  ", "[", "]", "[]]", "[a]", "1 []", "[] 1"])
     def test_syntax_errors(self, bad):
@@ -61,12 +61,12 @@ class TestParsing:
     def test_round_trip_small_degrees(self):
         for d in range(9):
             for f in enumerate_forests(d):
-                assert parse_forest(print_forest(f)) == f
+                assert parse_forest(f.encoding) == f
 
     @given(trees_strategy())
     def test_round_trip_random(self, t):
         f = t.as_forest()
-        assert parse_forest(print_forest(f)) == f
+        assert parse_forest(f.encoding) == f
 
 
 class TestConstruction:
@@ -92,18 +92,18 @@ class TestConstruction:
         assert forest_product(a, EMPTY_FOREST) == a
         b = parse_forest("[]")
         assert forest_product(a, b) == forest_product(b, a)
-        assert print_forest(forest_product(a, b)) == "[] [[]]"
+        assert forest_product(a, b).encoding == "[] [[]]"
 
     def test_degrees(self):
-        assert degree(EMPTY_FOREST) == 0
-        assert degree(LEAF.as_forest()) == 1
-        assert degree(parse_forest("[[][]] []")) == 4
+        assert EMPTY_FOREST.degree == 0
+        assert LEAF.as_forest().degree == 1
+        assert parse_forest("[[][]] []").degree == 4
 
     @pytest.mark.parametrize(
         "n,expected", [(0, "1"), (1, "[]"), (2, "[[]]"), (4, "[[[[]]]]")]
     )
     def test_ladder(self, n, expected):
-        assert print_forest(ladder(n)) == expected
+        assert ladder(n).encoding == expected
 
     def test_ladder_is_chain(self):
         t = ladder(5).trees[0]
@@ -160,9 +160,28 @@ class TestEnumeration:
             assert all(f.degree == n for f in enumerate_forests(n))
 
     def test_degree_three_forests(self):
-        assert [print_forest(f) for f in enumerate_forests(3)] == [
+        assert [f.encoding for f in enumerate_forests(3)] == [
             "[[[]]]",
             "[[][]]",
             "[] [[]]",
             "[] [] []",
         ]
+
+
+class TestCounts:
+    def test_counts_match_enumeration(self):
+        for n in range(1, 11):
+            assert count_trees(n) == len(enumerate_trees(n)) == TREE_COUNTS[n - 1]
+        for n in range(10):
+            assert count_forests(n) == len(enumerate_forests(n)) == count_trees(n + 1)
+
+    def test_far_beyond_enumeration(self):
+        # OEIS A000081
+        assert count_trees(20) == 12826228
+        assert count_trees(30) == 354426847597
+
+    def test_rejects_out_of_range(self):
+        with pytest.raises(ValueError, match="tree degree must be >= 1"):
+            count_trees(0)
+        with pytest.raises(ValueError, match="forest degree must be >= 0"):
+            count_forests(-1)

@@ -8,12 +8,10 @@ from hypothesis import given, strategies as st
 from treealg import (
     Poly,
     PolySyntaxError,
-    concat,
     op_R,
     op_R_pow,
     parse_poly,
     print_poly,
-    right_mul,
     strip_y,
 )
 
@@ -24,27 +22,27 @@ polys = st.dictionaries(words, st.integers(-4, 4), max_size=4).map(Poly)
 class TestConcat:
     def test_unit(self):
         w = parse_poly("xy + 2yy")
-        assert concat(Poly.one(), w) == w
-        assert concat(w, Poly.one()) == w
+        assert Poly.one() * w == w
+        assert w * Poly.one() == w
 
     def test_words(self):
-        assert concat(parse_poly("xy"), parse_poly("y")) == parse_poly("xyy")
+        assert parse_poly("xy") * parse_poly("y") == parse_poly("xyy")
 
     def test_bilinearity(self):
-        assert concat(parse_poly("x - y"), parse_poly("y")) == parse_poly("xy - yy")
+        assert parse_poly("x - y") * parse_poly("y") == parse_poly("xy - yy")
 
     @given(polys, polys, polys)
     def test_associative(self, a, b, c):
-        assert concat(concat(a, b), c) == concat(a, concat(b, c))
+        assert (a * b) * c == a * (b * c)
 
 
 class TestRightOperators:
     def test_right_mul(self):
-        assert right_mul(parse_poly("x"), parse_poly("y")) == parse_poly("xy")
-        assert right_mul(parse_poly("y"), parse_poly("x + 2y")) == parse_poly(
+        assert parse_poly("x") * parse_poly("y") == parse_poly("xy")
+        assert parse_poly("y") * parse_poly("x + 2y") == parse_poly(
             "yx + 2yy"
         )
-        assert right_mul(Poly.one(), parse_poly("xy")) == parse_poly("xy")
+        assert Poly.one() * parse_poly("xy") == parse_poly("xy")
 
     def test_strip_y(self):
         assert strip_y(parse_poly("xyy - xxy")) == parse_poly("xy - xx")
@@ -57,13 +55,13 @@ class TestRightOperators:
 
     @given(polys)
     def test_strip_y_inverts_append(self, v):
-        assert strip_y(right_mul(v, parse_poly("y"))) == v
+        assert strip_y(v * parse_poly("y")) == v
 
     def test_append_inverts_strip(self):
         for n in range(1, 5):
             for w in itertools.product("xy", repeat=n - 1):
                 v = Poly.from_word("".join(w) + "y")
-                assert right_mul(strip_y(v), parse_poly("y")) == v
+                assert strip_y(v) * parse_poly("y") == v
 
     def test_op_R_examples(self):
         assert op_R(parse_poly("y")) == parse_poly("xy + 2yy")
@@ -115,6 +113,18 @@ class TestRightOperators:
             out = op_R(Poly.from_word(w))
             assert out.ends_in_y()
             assert out.homogeneous_degree() == len(w) + 1
+
+
+class TestDegrees:
+    def test_homogeneous_degree(self):
+        assert parse_poly("xy - 2yx").homogeneous_degree() == 2
+        assert parse_poly("xy + y").homogeneous_degree() is None
+        assert parse_poly("3").homogeneous_degree() == 0
+        assert Poly.zero().homogeneous_degree() == 0
+
+    def test_max_degree(self):
+        assert parse_poly("xy + 2 - yyx").max_degree() == 3
+        assert Poly.zero().max_degree() == 0
 
 
 class TestWordCounts:

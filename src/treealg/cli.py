@@ -196,8 +196,7 @@ def _cmd_relation(args) -> int:
 
 def _cmd_basis(args) -> int:
     if args.degree < 1:
-        print("error: degree must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("degree must be >= 1")
     forests = basis_forests(args.degree)
     lines = [f.encoding for f in forests]
     payload: dict = {
@@ -220,8 +219,7 @@ def _cmd_decompose(args) -> int:
     elem = parse_helem(args.element)
     d = elem.homogeneous_degree()
     if d is None or d < 1:
-        print("error: element must be homogeneous of degree >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("element must be homogeneous of degree >= 1")
     coeffs = decompose(elem, d)
     lines = [
         f"{u.encoding}: {c}" for u, c in coeffs.items()
@@ -255,8 +253,7 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_selfcheck(args) -> int:
     if args.max_degree < 0:
-        print("error: --max-degree must be >= 0", file=sys.stderr)
-        return 2
+        raise ValueError("--max-degree must be >= 0")
     results = list(run_selfcheck(args.max_degree))
     lines = [
         f"{'ok  ' if ok else 'FAIL'} {name}" for name, ok in results

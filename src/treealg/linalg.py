@@ -2,14 +2,13 @@
 
 ``RationalMatrix`` is a dense exact matrix over Q that keeps its entries
 as given: an ``int`` stays an ``int``, anything else becomes a
-``Fraction``. It eliminates fraction-free over the integers (Bareiss) with
-one routine: ``rank`` and ``solve`` stop at echelon form (``solve`` then
-back-substitutes over the pivot rows), ``rref`` and ``nullspace`` run the
-full Gauss-Jordan pass; every result is exact, in ``Fraction`` entries.
-``BitMatrix`` packs rows into Python ints for elimination over GF(2). On
-top of these sit the basis family (grown from the empty forest by grafting
-and by multiplying with the leaf), the change-of-basis matrix to the
-y-ending word basis, and per-degree kernel computation.
+``Fraction``. Every method reads its result off one echelon form, found by
+fraction-free elimination over the integers (Bareiss), through one
+fraction-free back-substitution; every result is exact, in ``Fraction``
+entries. ``BitMatrix`` packs rows into Python ints for elimination over
+GF(2). On top of these sit the basis family (grown from the empty forest
+by grafting and by multiplying with the leaf), the change-of-basis matrix
+to the y-ending word basis, and per-degree kernel computation.
 """
 from __future__ import annotations
 
@@ -24,19 +23,15 @@ from .trees import EMPTY_FOREST, Forest, LEAF, bplus, enumerate_forests, forest_
 from .words import Poly
 
 
-def _bareiss(
-    entries: list[list[Fraction | int]], reduce_above: bool
-) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free elimination (Bareiss) over the integers.
+def _echelon(entries: list[list[Fraction | int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free forward elimination (Bareiss) over the integers.
 
     An all-int row is taken as is; any other row is scaled by the lcm of its
-    denominators, which changes neither the rank, the pivots nor the RREF.
-    Each row below a pivot becomes ``(p·row − row[c]·pivot_row) // prev``,
-    exact by Sylvester's identity; with ``reduce_above`` so does each row
-    above it (Gauss-Jordan), else those are left as they are (echelon
-    form). Returns the integer rows, the pivot columns and the last pivot
-    D. After Gauss-Jordan every pivot entry equals D, and the RREF is every
-    entry divided by D (D = 1 when there is no pivot).
+    denominators, which changes neither the rank, the pivots nor the
+    solutions. Each row below a pivot becomes
+    ``(p·row − row[c]·pivot_row) // prev``, exact by Sylvester's identity.
+    Returns the integer rows, the pivot columns and the last pivot D (D = 1
+    when there is no pivot).
     """
     m = []
     for row in entries:
@@ -56,9 +51,7 @@ def _bareiss(
         m[r], m[pivot_row] = m[pivot_row], m[r]
         top = m[r]
         p = top[c]
-        for i in range(0 if reduce_above else r + 1, len(m)):
-            if i == r:
-                continue
+        for i in range(r + 1, len(m)):
             row = m[i]
             a = row[c]
             if a:
@@ -69,6 +62,19 @@ def _bareiss(
         pivots.append(c)
         r += 1
     return m, pivots, prev
+
+
+def _back_substitute(m: list[list[int]], pivots: list[int], d: int, col: int) -> list[int]:
+    """D·x, where x solves the pivot rows of ``m`` on the pivot columns for
+    column ``col``; x[r] belongs to column ``pivots[r]``. D·x is integral by
+    Cramer's rule (D is the determinant of that system), so each step
+    divides exactly."""
+    scaled = [0] * len(pivots)
+    for r in reversed(range(len(pivots))):
+        row = m[r]
+        rest = sum(row[pivots[s]] * scaled[s] for s in range(r + 1, len(pivots)))
+        scaled[r] = (d * row[col] - rest) // row[pivots[r]]
+    return scaled
 
 
 class RationalMatrix:
@@ -94,46 +100,42 @@ class RationalMatrix:
 
     def rref(self) -> tuple["RationalMatrix", list[int]]:
         """Reduced row-echelon form and the pivot column indices."""
-        m, pivots, d = _bareiss(self.entries, reduce_above=True)
-        return RationalMatrix([[Fraction(x, d) for x in row] for row in m]), pivots
+        m, pivots, d = _echelon(self.entries)
+        columns = [_back_substitute(m, pivots, d, c) for c in range(self.cols)]
+        rows = [[Fraction(x, d) for x in row] for row in zip(*columns)]
+        rows += [[Fraction(0)] * self.cols for _ in range(self.rows - len(pivots))]
+        return RationalMatrix(rows), pivots
 
     def rank(self) -> int:
-        return len(_bareiss(self.entries, reduce_above=False)[1])
+        return len(_echelon(self.entries)[1])
 
     def solve(self, rhs: list[Fraction | int]) -> list[Fraction]:
         """Solve A v = rhs; requires a unique solution.
 
-        The augmented system is brought to echelon form, where the pivot of
-        row c sits in column c and the last pivot is D. Each D·v[c] is an
-        integer (Cramer's rule on the pivot rows), so back-substitution
-        finds it by exact division."""
+        The augmented system is brought to echelon form, and its last
+        column is back-substituted to D·v."""
         if len(rhs) != self.rows:
             raise ValueError("right-hand side length mismatch")
         n = self.cols
         augmented = RationalMatrix([row + [b] for row, b in zip(self.entries, rhs)])
-        m, pivots, d = _bareiss(augmented.entries, reduce_above=False)
+        m, pivots, d = _echelon(augmented.entries)
         if n in pivots:
             raise ValueError("inconsistent system")
         if len(pivots) != n:
             raise ValueError("system is underdetermined")
-        scaled = [0] * n
-        for c in reversed(range(n)):
-            row = m[c]
-            rest = sum(row[j] * scaled[j] for j in range(c + 1, n))
-            scaled[c] = (d * row[n] - rest) // row[c]
-        return [Fraction(v, d) for v in scaled]
+        return [Fraction(v, d) for v in _back_substitute(m, pivots, d, n)]
 
     def nullspace(self) -> list[list[Fraction]]:
         """Basis of the right kernel, one vector per free column, in
         ascending free-column order; free entries normalized to 1."""
-        m, pivots, d = _bareiss(self.entries, reduce_above=True)
+        m, pivots, d = _echelon(self.entries)
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
         for fc in free:
             v = [Fraction(0)] * self.cols
             v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = Fraction(-m[r][fc], d)
+            for pc, x in zip(pivots, _back_substitute(m, pivots, d, fc)):
+                v[pc] = Fraction(-x, d)
             basis.append(v)
         return basis
 

@@ -128,43 +128,27 @@ def ladder(n: int) -> Forest:
 
 
 def parse_forest(text: str) -> Forest:
-    """Parse bracket notation; insensitive to child order and whitespace."""
+    """Parse bracket notation; insensitive to child order and whitespace.
+
+    Open brackets wait on an explicit stack of (position, children), so the
+    nesting depth is not bounded by the Python stack."""
     if text.strip() == "1":
         return EMPTY_FOREST
     trees: list[Tree] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c == "[":
-            t, i = _parse_tree(text, i)
-            trees.append(t)
-        else:
+    stack: list[tuple[int, list[Tree]]] = []
+    for i, c in enumerate(text):
+        if c == "[":
+            stack.append((i, []))
+        elif c == "]" and stack:
+            t = Tree(stack.pop()[1])
+            (stack[-1][1] if stack else trees).append(t)
+        elif not c.isspace():
             raise ForestSyntaxError(f"unexpected character {c!r}", i)
+    if stack:
+        raise ForestSyntaxError("unbalanced '['", stack[-1][0])
     if not trees:
         raise ForestSyntaxError("empty forest text", 0)
     return Forest(trees)
-
-
-def _parse_tree(text: str, i: int) -> tuple[Tree, int]:
-    # text[i] == "["
-    start = i
-    i += 1
-    kids: list[Tree] = []
-    while True:
-        if i >= len(text):
-            raise ForestSyntaxError("unbalanced '['", start)
-        c = text[i]
-        if c == "]":
-            return Tree(kids), i + 1
-        if c == "[":
-            t, i = _parse_tree(text, i)
-            kids.append(t)
-        elif c.isspace():
-            i += 1
-        else:
-            raise ForestSyntaxError(f"unexpected character {c!r}", i)
 
 
 def count_trees(n: int) -> int:

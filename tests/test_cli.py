@@ -237,6 +237,9 @@ class TestErrors:
         [
             (("kernel", "0"), "degree must be >= 1"),
             (("relation", "0", "2"), "both ladder lengths must be >= 1"),
+            (("basis", "0"), "degree must be >= 1"),
+            (("decompose", "[] + [[]]"), "element must be homogeneous of degree >= 1"),
+            (("selfcheck", "--max-degree", "-1"), "--max-degree must be >= 0"),
         ],
     )
     def test_out_of_range_arguments_exact(self, capsys, argv, message):
@@ -246,6 +249,7 @@ class TestErrors:
         "argv, degree",
         [
             (("sigma", "[" * 900 + "]" * 900), 900),
+            (("sigma", "[" * 1200 + "]" * 1200), 1200),
             (("diamond", "x" * 1500, "x"), 1501),
             (("apply", "[] - [[]] [[]]", "xy + " + "y" * 16), 20),
             (("sigma", " ".join(["[]"] * 20)), 20),

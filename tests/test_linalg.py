@@ -96,12 +96,13 @@ small_ints = st.integers(-4, 4)
 
 
 @st.composite
-def matrices(draw, entries=small_rationals):
-    """0-8 rows by 1-8 columns (wide and tall). Rows past the first few
+def matrices(draw, entries=small_rationals, cols=8):
+    """0-8 rows by 1-``cols`` columns (wide and tall; with ``cols`` past 8,
+    often more free columns than pivots). Rows past the first few
     independent draws are combinations of earlier rows or all-zero rows,
     which makes many of the matrices rank-deficient. Entries mix ints and
     Fractions unless ``entries`` draws ints only."""
-    cols = draw(st.integers(1, 8))
+    cols = draw(st.integers(1, cols))
     n = draw(st.integers(0, 8))
     rows = draw(
         st.lists(
@@ -161,6 +162,31 @@ def check_solve(m, rhs):
     assert times(m, sol) == rhs
 
 
+def check_rref(m):
+    """m.rref() against the reference: the same entries and pivots, every
+    entry a Fraction."""
+    red, pivots = m.rref()
+    assert (red.entries, pivots) == reference_rref(m.entries, m.cols)
+    assert all(type(e) is Fraction for row in red.entries for e in row)
+
+
+def check_nullspace(m):
+    """m.nullspace() against the kernel read off the reference RREF: one
+    vector per free column, free entry 1, every entry a Fraction."""
+    red, pivots = reference_rref(m.entries, m.cols)
+    expected = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        expected.append(v)
+    basis = m.nullspace()
+    assert basis == expected
+    assert all(type(e) is Fraction for v in basis for e in v)
+    assert all(not any(times(m, v)) for v in basis)
+
+
 class TestEliminationAgainstReference:
     @given(matrices())
     def test_rank(self, m):
@@ -170,25 +196,21 @@ class TestEliminationAgainstReference:
     def test_rank_all_int(self, m):
         assert m.rank() == len(reference_rref(m.entries, m.cols)[1])
 
-    @given(matrices())
+    @given(matrices(cols=12))
     def test_rref(self, m):
-        red, pivots = m.rref()
-        assert (red.entries, pivots) == reference_rref(m.entries, m.cols)
+        check_rref(m)
 
-    @given(matrices())
+    @given(matrices(entries=small_ints, cols=12))
+    def test_rref_all_int(self, m):
+        check_rref(m)
+
+    @given(matrices(cols=12))
     def test_nullspace(self, m):
-        red, pivots = reference_rref(m.entries, m.cols)
-        expected = []
-        for fc in (c for c in range(m.cols) if c not in pivots):
-            v = [Fraction(0)] * m.cols
-            v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -red[r][fc]
-            expected.append(v)
-        basis = m.nullspace()
-        assert basis == expected
-        assert all(not any(times(m, v)) for v in basis)
+        check_nullspace(m)
 
+    @given(matrices(entries=small_ints, cols=12))
+    def test_nullspace_all_int(self, m):
+        check_nullspace(m)
     @given(matrices(), st.data())
     def test_solve(self, m, data):
         if data.draw(st.booleans()):

@@ -58,6 +58,25 @@ class TestParsing:
             parse_forest("[] x")
         assert exc.value.position == 3
 
+    @pytest.mark.parametrize(
+        "bad, message, position",
+        [
+            ("[[]", "unbalanced '['", 0),
+            ("[] [[[]", "unbalanced '['", 4),
+            ("[" * 1200, "unbalanced '['", 1199),
+            ("[[] x", "unexpected character 'x'", 4),
+            ("[]]", "unexpected character ']'", 2),
+        ],
+        ids=["nested", "second-tree", "deep", "character", "extra-close"],
+    )
+    def test_error_message_and_position(self, bad, message, position):
+        with pytest.raises(ForestSyntaxError) as exc:
+            parse_forest(bad)
+        assert (exc.value.message, exc.value.position) == (message, position)
+
+    def test_deep_nesting_does_not_recurse(self):
+        assert parse_forest("[" * 1200 + "]" * 1200) is ladder(1200)
+
     def test_round_trip_small_degrees(self):
         for d in range(9):
             for f in enumerate_forests(d):

@@ -249,10 +249,10 @@ class TestErrors:
         "argv, degree",
         [
             (("sigma", "[" * 900 + "]" * 900), 900),
-            (("sigma", "[" * 1200 + "]" * 1200), 1200),
             (("diamond", "x" * 1500, "x"), 1501),
             (("apply", "[] - [[]] [[]]", "xy + " + "y" * 16), 20),
             (("sigma", " ".join(["[]"] * 20)), 20),
+            (("sigma", "[" * 1200 + "]" * 1200), 1200),
         ],
     )
     def test_output_degree_above_cap(self, capsys, argv, degree):

@@ -22,14 +22,8 @@ from .linalg import (
 from .relations import verify_fmn
 from .rtm import rtm_apply
 from .selfcheck import run_selfcheck
-from .trees import (
-    ForestSyntaxError,
-    count_forests,
-    count_trees,
-    enumerate_forests,
-    enumerate_trees,
-)
-from .words import PolySyntaxError, parse_poly, print_poly
+from .trees import count_forests, count_trees, enumerate_forests, enumerate_trees
+from .words import parse_poly, print_poly
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,12 +107,19 @@ def _listing(args, count, enumerate_, key: str) -> int:
 # 0.9 GB on a 2-core x86-64 host with Python 3.11.
 MAX_OUTPUT_DEGREE = 19
 
+# The largest degree that the dense commands, kernel and decompose, accept:
+# both eliminate a matrix of sigma values against the 2^(d-1) words ending
+# in y. At the cap, kernel 9 takes 23 s and 73 MB and decompose of ladder(9)
+# 5.4 s and 44 MB; at d = 10 decompose takes 142 s and 139 MB and kernel
+# had not finished after 200 s (2-core x86-64 host, Python 3.11).
+MAX_DENSE_DEGREE = 9
 
-def _check_output_degree(degree: int) -> None:
-    if degree > MAX_OUTPUT_DEGREE:
-        raise ValueError(
-            f"output degree {degree} is above the cap MAX_OUTPUT_DEGREE = {MAX_OUTPUT_DEGREE}"
-        )
+
+def _check_degree(degree: int, cap: str = "MAX_OUTPUT_DEGREE", kind: str = "output degree") -> None:
+    """Refuse ``degree`` above the module constant named ``cap``, naming it."""
+    limit = globals()[cap]
+    if degree > limit:
+        raise ValueError(f"{kind} {degree} is above the cap {cap} = {limit}")
 
 
 def _cmd_coproduct(args) -> int:
@@ -146,7 +147,7 @@ def _cmd_coproduct(args) -> int:
 def _cmd_apply(args) -> int:
     elem = parse_helem(args.element)
     poly = parse_poly(args.poly)
-    _check_output_degree(elem.max_degree() + poly.max_degree())
+    _check_degree(elem.max_degree() + poly.max_degree())
     result = rtm_apply(elem, poly)
     text = print_poly(result)
     _emit(args, [text], {"input": print_helem(elem), "poly": print_poly(poly), "result": text})
@@ -155,7 +156,7 @@ def _cmd_apply(args) -> int:
 
 def _cmd_sigma(args) -> int:
     elem = parse_helem(args.element)
-    _check_output_degree(elem.max_degree())
+    _check_degree(elem.max_degree())
     text = print_poly(sigma(elem))
     _emit(args, [text], {"input": print_helem(elem), "result": text})
     return 0
@@ -164,7 +165,7 @@ def _cmd_sigma(args) -> int:
 def _cmd_diamond(args) -> int:
     left = parse_poly(args.left)
     right = parse_poly(args.right)
-    _check_output_degree(left.max_degree() + right.max_degree())
+    _check_degree(left.max_degree() + right.max_degree())
     text = print_poly(diamond(left, right))
     _emit(
         args,
@@ -220,6 +221,7 @@ def _cmd_decompose(args) -> int:
     d = elem.homogeneous_degree()
     if d is None or d < 1:
         raise ValueError("element must be homogeneous of degree >= 1")
+    _check_degree(d, "MAX_DENSE_DEGREE", "degree")
     coeffs = decompose(elem, d)
     lines = [
         f"{u.encoding}: {c}" for u, c in coeffs.items()
@@ -237,6 +239,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
+    _check_degree(args.degree, "MAX_DENSE_DEGREE", "degree")
     kernel = sigma_kernel(args.degree)
     lines = [print_helem(k) for k in kernel] or ["(empty)"]
     _emit(
@@ -295,7 +298,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except (ForestSyntaxError, PolySyntaxError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,16 +9,15 @@ multiplicative on forests and is defined on a tree t = bplus(f) by
 
 Coproducts are memoized in one table keyed by forest, ``_FOREST_DELTA``: a
 one-tree forest takes the grafting rule above, any other forest the product
-of its last tree's coproduct with that of the trees before it. Memoized
-values are never mutated.
+of the coproduct of the trees before its last with that of its last tree.
+The table is filled from a worklist, so deep trees do not recurse into the
+Python stack. Memoized values are never mutated.
 """
 from __future__ import annotations
 
-import re
-from fractions import Fraction
 from operator import attrgetter
 
-from .lincomb import LinComb, Scalar, add_into, format_terms
+from .lincomb import LinComb, Scalar, add_into, format_terms, parse_terms, read_rational
 from .trees import (
     EMPTY_FOREST,
     Forest,
@@ -76,22 +75,35 @@ _FOREST_DELTA: dict[Forest, TensorElem] = {}
 
 
 def _forest_coproduct(f: Forest) -> TensorElem:
-    if not f.trees:
-        return _TENSOR_UNIT
     cached = _FOREST_DELTA.get(f)
     if cached is not None:
         return cached
-    if len(f.trees) == 1:
-        acc = {(f, EMPTY_FOREST): 1}
-        # the lifted terms have a nonempty right factor: no key repeats
-        for (f1, f2), c in _forest_coproduct(f.trees[0].child_forest()).terms.items():
-            acc[(f1, bplus(f2).as_forest())] = c
-        out = TensorElem._wrap(acc)
-    else:
-        *init, last = f.trees
-        out = _forest_coproduct(Forest(init)) * _forest_coproduct(last.as_forest())
-    _FOREST_DELTA[f] = out
-    return out
+    if not f.trees:
+        return _TENSOR_UNIT
+    # fill the memo from a worklist, not the Python stack: a forest is
+    # computed once the forests it is built from are memoized. Each entry
+    # is a part of the one below it, of lower degree, so none is listed twice.
+    todo = [f]
+    while todo:
+        g = todo[-1]
+        if len(g.trees) == 1:
+            parts = (g.trees[0].child_forest(),)
+        else:
+            parts = (Forest(g.trees[:-1]), g.trees[-1].as_forest())
+        missing = [p for p in parts if p.trees and p not in _FOREST_DELTA]
+        if missing:
+            todo.append(missing[0])
+            continue
+        todo.pop()
+        if len(parts) == 1:
+            acc = {(g, EMPTY_FOREST): 1}
+            # the lifted terms have a nonempty right factor: no key repeats
+            for (f1, f2), c in _FOREST_DELTA.get(parts[0], _TENSOR_UNIT).terms.items():
+                acc[(f1, bplus(f2).as_forest())] = c
+            _FOREST_DELTA[g] = TensorElem._wrap(acc)
+        else:
+            _FOREST_DELTA[g] = _FOREST_DELTA[parts[0]] * _FOREST_DELTA[parts[1]]
+    return _FOREST_DELTA[f]
 
 
 def coproduct(a: HElem) -> TensorElem:
@@ -104,9 +116,6 @@ def coproduct(a: HElem) -> TensorElem:
 # ---------------------------------------------------------------------------
 # text form: signed terms "c*<forest>" joined by " + " / " - "
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-
-
 def print_helem(a: HElem) -> str:
     return format_terms(
         a.terms,
@@ -115,72 +124,29 @@ def print_helem(a: HElem) -> str:
     )
 
 
-def _parse_coeff(text: str, position: int) -> Scalar:
-    """The rational ``text`` ("p" or "p/q"), which starts at ``position``
-    of the input."""
-    num, _, den = text.partition("/")
-    if den and not int(den):
-        raise ForestSyntaxError("zero denominator", position + len(num) + 1)
-    coeff = Fraction(text)
-    return int(coeff) if coeff.denominator == 1 else coeff
-
-
-def _parse_forest_at(text: str, start: int) -> Forest:
-    """``parse_forest(text)`` for the part of the input that begins at
-    ``start``: error positions count from the start of the input."""
+def _forest_at(s: str, start: int, end: int) -> Forest:
+    """``parse_forest(s[start:end])``, error positions counted in s."""
     try:
-        return parse_forest(text)
+        return parse_forest(s[start:end])
     except ForestSyntaxError as exc:
         raise ForestSyntaxError(exc.message, start + exc.position) from None
 
 
+def _read_helem_term(s: str, i: int, end: int) -> tuple[Forest, Scalar]:
+    """The term ``[rational "*"] forest`` at s[i:end], or a rational alone
+    (a multiple of the empty forest)."""
+    star = s.find("*", i, end)
+    coeff, j = read_rational(s, i, ForestSyntaxError)
+    if star < 0:
+        return (EMPTY_FOREST, coeff) if j == end else (_forest_at(s, i, end), 1)
+    if coeff is None or s[j:star].strip():
+        raise ForestSyntaxError(f"bad coefficient {s[i:star].strip()!r}", i)
+    return _forest_at(s, star + 1, end), coeff
+
+
 def parse_helem(text: str) -> HElem:
     """Parse the signed-term text form of an HElem."""
-    s = text.strip()
-    if not s:
-        raise ForestSyntaxError("empty element text", 0)
-    if s == "0":
-        return HElem.zero()
-    offset = len(text) - len(text.lstrip())
-    # split at top level on +/-; forest text never contains these
-    pieces: list[tuple[int, int, str]] = []  # (sign, start in text, term text)
-    sign = 1
-    cur = ""
-    start = 0
-    for i, ch in enumerate(s):
-        if ch in "+-":
-            if cur.strip():
-                pieces.append((sign, start, cur))
-                sign = 1
-            sign *= -1 if ch == "-" else 1
-            cur = ""
-            start = i + 1
-        else:
-            cur += ch
-    if not cur.strip():
-        # s is stripped, so it ends with the last sign
-        raise ForestSyntaxError("dangling sign", offset + len(s) - 1)
-    pieces.append((sign, start, cur))
-    acc: dict[Forest, Scalar] = {}
-    for sg, start, term in pieces:
-        term_start = offset + start + len(term) - len(term.lstrip())
-        term = term.strip()
-        if "*" in term:
-            star = term.index("*")
-            coeff_text = term[:star].strip()
-            if not _RATIONAL_RE.match(coeff_text):
-                raise ForestSyntaxError(f"bad coefficient {coeff_text!r}", term_start)
-            coeff = _parse_coeff(coeff_text, term_start)
-            f = _parse_forest_at(term[star + 1 :], term_start + star + 1)
-        elif _RATIONAL_RE.match(term):
-            coeff = _parse_coeff(term, term_start)
-            f = EMPTY_FOREST
-        else:
-            coeff = 1
-            f = _parse_forest_at(term, term_start)
-        if coeff:
-            add_into(acc, {f: sg * coeff})
-    return HElem._wrap(acc)
+    return HElem._wrap(parse_terms(text, _read_helem_term, ForestSyntaxError, "element"))
 
 
 def _tensor_term(p: tuple[Forest, Forest], mag: Scalar) -> str:

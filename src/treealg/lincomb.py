@@ -9,6 +9,10 @@ accumulated in place: ``add_into`` and ``add_product_into`` add into a plain
 dict, which becomes a combination once at the end, so a k-term sum costs
 O(total terms), not O(k^2). Accumulators are always fresh dicts: a value's
 ``terms``, memoized or not, is only ever read, never mutated.
+
+The signed-term text form "a - b + c" is printed by ``format_terms`` and
+read back by ``parse_terms``, whose coefficients ("p" or "p/q") are read by
+``read_rational``; each subclass's module supplies the text of one term.
 """
 from __future__ import annotations
 
@@ -68,6 +72,63 @@ def format_terms(
             out.append("-")
         out.append(body(k, -c if c < 0 else c))
     return "".join(out) or "0"
+
+
+def skip_while(text: str, i: int, test: Callable[[str], bool] = str.isspace) -> int:
+    """The first index at or after i whose character fails ``test``
+    (len(text) if none): by default, i moved past any blanks."""
+    while i < len(text) and test(text[i]):
+        i += 1
+    return i
+
+
+def read_rational(text: str, i: int, error: Callable) -> tuple[Scalar | None, int]:
+    """The rational "p" or "p/q" at text[i], blanks allowed around "/", and
+    the index just past it; (None, i) if no digit is at i. A whole value is
+    an int. A missing or zero denominator raises error(message, position)."""
+    j = skip_while(text, i, str.isdecimal)
+    if j == i:
+        return None, i
+    k = skip_while(text, j)
+    if not text.startswith("/", k):
+        return int(text[i:j]), j
+    k = skip_while(text, k + 1)
+    m = skip_while(text, k, str.isdecimal)
+    if m == k:
+        raise error("expected denominator digits", k)
+    den = int(text[k:m])
+    if not den:
+        raise error("zero denominator", k)
+    q = Fraction(int(text[i:j]), den)
+    return (int(q) if q.denominator == 1 else q), m
+
+
+def parse_terms(text: str, read_term: Callable, error: Callable, what: str) -> dict:
+    """The terms of signed-term text, the inverse of ``format_terms``.
+
+    The text is split at every "+" and "-", and a run of signs multiplies.
+    ``read_term(text, start, end)`` returns the (key, coefficient) of the
+    term text[start:end], which has no blank at either end; the terms are
+    summed and zero sums dropped. Errors are error(message, position), with
+    positions counted from the start of ``text``."""
+    if not text.strip():
+        raise error(f"empty {what} text", 0)
+    acc: dict = {}
+    sign, last_sign, start = 1, None, 0
+    for stop in [i for i, c in enumerate(text) if c in "+-"] + [len(text)]:
+        term = text[start:stop]
+        if term.strip():
+            first = start + len(term) - len(term.lstrip())
+            key, coeff = read_term(text, first, start + len(term.rstrip()))
+            if coeff:
+                add_into(acc, {key: sign * coeff})
+            sign, last_sign = 1, None
+        if stop < len(text):
+            sign, last_sign = (-sign if text[stop] == "-" else sign), stop
+        start = stop + 1
+    if last_sign is not None:
+        raise error("dangling sign", last_sign)
+    return acc
 
 
 class LinComb:

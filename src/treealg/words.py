@@ -8,10 +8,9 @@ x < y.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 
-from .lincomb import LinComb, Scalar, add_into, format_terms
+from .lincomb import LinComb, Scalar, format_terms, parse_terms, read_rational, skip_while
 
 
 class PolySyntaxError(ValueError):
@@ -96,84 +95,34 @@ def print_poly(p: Poly) -> str:
     return format_terms(p.terms, lambda w: (len(w), w), _poly_term)
 
 
+def _read_poly_term(s: str, i: int, end: int) -> tuple[str, Scalar]:
+    """The term ``[rational ["*"]] word`` at s[i:end]. Blanks may separate
+    letters; the unit word is "1", or nothing after a rational."""
+    coeff, i = read_rational(s, i, PolySyntaxError)
+    i = skip_while(s, i)
+    if coeff is not None and s.startswith("*", i):
+        i = skip_while(s, i + 1)
+        if not s.startswith(("x", "y", "1"), i):
+            raise PolySyntaxError("expected a word after '*'", i)
+    letters = ""
+    if s.startswith("1", i):
+        i = skip_while(s, i + 1)
+    else:
+        while s.startswith(("x", "y"), i):
+            letters += s[i]
+            i = skip_while(s, i + 1)
+        if not letters and coeff is None:
+            raise PolySyntaxError(f"unexpected character {s[i]!r}", i)
+    if i < end:
+        raise PolySyntaxError("expected '+' or '-' between terms", i)
+    return letters, 1 if coeff is None else coeff
+
+
 def parse_poly(text: str) -> Poly:
-    """Parse polynomial text: signed terms ``[rational "*"] word``.
+    """Parse polynomial text: signed terms ``[rational ["*"]] word``.
 
     Whitespace is insignificant; rationals are "p" or "p/q"; the unit word
     is "1"; "*" between coefficient and word is optional, but a "*" must be
     followed by a word.
     """
-    s = text
-    i = 0
-    n = len(s)
-    acc: dict[str, Scalar] = {}
-    seen_term = False
-
-    def skip_ws(i: int) -> int:
-        while i < n and s[i].isspace():
-            i += 1
-        return i
-
-    i = skip_ws(i)
-    if i == n:
-        raise PolySyntaxError("empty polynomial text", 0)
-    while i < n:
-        sign = 1
-        saw_sign = False
-        while i < n and s[i] in "+-":
-            if s[i] == "-":
-                sign = -sign
-            saw_sign = True
-            i = skip_ws(i + 1)
-        if i >= n:
-            if saw_sign:
-                raise PolySyntaxError("dangling sign", n - 1)
-            break
-        if seen_term and not saw_sign:
-            raise PolySyntaxError("expected '+' or '-' between terms", i)
-        coeff: Scalar = 1
-        have_coeff = False
-        if s[i].isdigit():
-            j = i
-            while j < n and s[j].isdigit():
-                j += 1
-            num = int(s[i:j])
-            k = skip_ws(j)
-            if k < n and s[k] == "/":
-                k = skip_ws(k + 1)
-                if k >= n or not s[k].isdigit():
-                    raise PolySyntaxError("expected denominator digits", k)
-                m = k
-                while m < n and s[m].isdigit():
-                    m += 1
-                den = int(s[k:m])
-                if not den:
-                    raise PolySyntaxError("zero denominator", k)
-                coeff = Fraction(num, den)
-                if coeff.denominator == 1:
-                    coeff = int(coeff)
-                i = m
-            else:
-                coeff = num
-                i = j
-            have_coeff = True
-            i = skip_ws(i)
-            if i < n and s[i] == "*":
-                i = skip_ws(i + 1)
-                if i == n or s[i] not in "xy1":
-                    raise PolySyntaxError("expected a word after '*'", i)
-        # word: letters x/y (whitespace-tolerant), or "1", or nothing after
-        # an explicit coefficient (a constant term)
-        letters = ""
-        if i < n and s[i] == "1":
-            i = skip_ws(i + 1)
-        else:
-            while i < n and s[i] in "xy":
-                letters += s[i]
-                i = skip_ws(i + 1)
-            if not letters and not have_coeff:
-                raise PolySyntaxError(f"unexpected character {s[i]!r}", i)
-        if coeff:
-            add_into(acc, {letters: sign * coeff})
-        seen_term = True
-    return Poly._wrap(acc)
+    return Poly._wrap(parse_terms(text, _read_poly_term, PolySyntaxError, "polynomial"))

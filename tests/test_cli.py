@@ -9,7 +9,7 @@ import pytest
 
 import treealg
 from treealg import selfcheck
-from treealg.cli import MAX_OUTPUT_DEGREE, run
+from treealg.cli import MAX_DENSE_DEGREE, MAX_OUTPUT_DEGREE, run
 
 # Exact stdout, text and --json, of one command per algebra subcommand: any
 # refactor of the combination classes or their printers must keep it.
@@ -264,6 +264,41 @@ class TestErrors:
             f"error: output degree {degree} is above the cap "
             f"MAX_OUTPUT_DEGREE = {MAX_OUTPUT_DEGREE}\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, degree",
+        [
+            (("decompose", "[" * 1200 + "]" * 1200), 1200),
+            (("kernel", "12"), 12),
+            (("kernel", str(MAX_DENSE_DEGREE + 1)), MAX_DENSE_DEGREE + 1),
+            (("decompose", " ".join(["[]"] * (MAX_DENSE_DEGREE + 1))), MAX_DENSE_DEGREE + 1),
+            (("--json", "kernel", "1000"), 1000),
+        ],
+    )
+    def test_dense_degree_above_cap(self, capsys, argv, degree):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: degree {degree} is above the cap "
+            f"MAX_DENSE_DEGREE = {MAX_DENSE_DEGREE}\n"
+        )
+
+    def test_coproduct_deeper_than_the_recursion_limit(self):
+        # a fresh interpreter: no shallower ladder's coproduct is memoized
+        src = str(Path(treealg.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        done = subprocess.run(
+            [sys.executable, "-m", "treealg", "coproduct", "[" * 1200 + "]" * 1200],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.count("(x)") == 1201
 
     def test_output_degree_at_cap_accepted(self, capsys):
         code, out, _ = invoke(capsys, "diamond", "x" * (MAX_OUTPUT_DEGREE - 1), "x")

@@ -5,8 +5,10 @@ import pytest
 
 from treealg import (
     EMPTY_FOREST,
+    Forest,
     HElem,
     TensorElem,
+    bplus,
     coproduct,
     enumerate_forests,
     ladder,
@@ -117,10 +119,31 @@ class TestCoproduct:
         assert len(delta.terms) == 601
         assert delta.terms[(ladder(200), ladder(400))] == 1
 
+    def test_values_and_term_order_match_the_recursion(self):
+        # the memo is filled from a worklist; each value must equal the
+        # recursive definition's, term order included
+        for d in range(7):
+            for f in enumerate_forests(d):
+                got = coproduct(HElem.from_forest(f)).terms
+                assert list(got.items()) == list(_recursive_delta(f).items())
+
     def test_coassociative_small(self):
         for d in range(6):
             for f in enumerate_forests(d):
                 assert _triple_left(f) == _triple_right(f)
+
+
+def _recursive_delta(f):
+    if not f.trees:
+        return {(EMPTY_FOREST, EMPTY_FOREST): 1}
+    if len(f.trees) == 1:
+        out = {(f, EMPTY_FOREST): 1}
+        for (f1, f2), c in _recursive_delta(f.trees[0].child_forest()).items():
+            out[(f1, bplus(f2).as_forest())] = c
+        return out
+    *init, last = f.trees
+    left = TensorElem(_recursive_delta(Forest(init)))
+    return (left * TensorElem(_recursive_delta(last.as_forest()))).terms
 
 
 def _triple_left(f):

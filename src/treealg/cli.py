@@ -19,7 +19,7 @@ from .linalg import (
     decompose,
     sigma_kernel,
 )
-from .relations import verify_fmn
+from .relations import build_fmn, verify_fmn
 from .rtm import rtm_apply
 from .selfcheck import run_selfcheck
 from .trees import count_forests, count_trees, enumerate_forests, enumerate_trees
@@ -88,13 +88,14 @@ def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict) -> Non
             print(line)
 
 
-def _listing(args, count, enumerate_, key: str) -> int:
+def _listing(args, count, enumerate_, key: str, cap: str) -> int:
     """``trees`` and ``forests``: the count alone comes from ``count``,
-    without enumerating."""
+    without enumerating; a listing refuses a degree above ``cap``."""
     if args.count_only:
         n = count(args.degree)
         _emit(args, [str(n)], {"degree": args.degree, "count": n})
         return 0
+    _check_degree(args.degree, cap, "degree")
     encodings = [x.encoding for x in enumerate_(args.degree)]
     _emit(args, encodings, {"degree": args.degree, "count": len(encodings), key: encodings})
     return 0
@@ -113,6 +114,25 @@ MAX_OUTPUT_DEGREE = 19
 # 5.4 s and 44 MB; at d = 10 decompose takes 142 s and 139 MB and kernel
 # had not finished after 200 s (2-core x86-64 host, Python 3.11).
 MAX_DENSE_DEGREE = 9
+
+# The largest m + n that relation accepts, with or without --verify. At the
+# cap, the slowest pair, relation 6 7 --verify, takes 5.4 s and 643 MB;
+# relation 7 7 --verify takes 15 s and 1.5 GB (2-core x86-64 host, Python
+# 3.11). Without --verify only f_{m,n} is built, which is cheap (0.1 s for
+# m = n = 20 from Python), but one cap keeps the command's budget simple.
+MAX_RELATION_DEGREE = 13
+
+# The largest degree that the listings accept: trees and forests without
+# --count-only, and basis, which lists 2^(d-1) forests. With --matrix or
+# --check-mod2, basis also builds the dense 2^(d-1) x 2^(d-1) matrix of
+# sigma values. At the caps, trees 13 takes 3.7 s, forests 12 3.6 s, basis 19
+# 7.1 s and 216 MB, and basis 11 --matrix 6.6 s and 278 MB; one degree more
+# takes 22 s (trees 14), 22 s (forests 13), 14 s and 416 MB (basis 20) and
+# 30 s and 1.1 GB (basis 12 --matrix) on the same host.
+MAX_TREE_DEGREE = 13
+MAX_FOREST_DEGREE = 12
+MAX_BASIS_DEGREE = 19
+MAX_BASIS_MATRIX_DEGREE = 11
 
 
 def _check_degree(degree: int, cap: str = "MAX_OUTPUT_DEGREE", kind: str = "output degree") -> None:
@@ -176,8 +196,9 @@ def _cmd_diamond(args) -> int:
 
 
 def _cmd_relation(args) -> int:
-    report = verify_fmn(args.m, args.n)
-    relation_text = print_helem(report.relation)
+    _check_degree(args.m + args.n, "MAX_RELATION_DEGREE", "m+n")
+    report = verify_fmn(args.m, args.n) if args.verify else None
+    relation_text = print_helem(report.relation if report else build_fmn(args.m, args.n))
     lines = [f"f_{args.m},{args.n} = {relation_text}"]
     payload: dict = {"m": args.m, "n": args.n, "relation": relation_text}
     if args.verify:
@@ -192,12 +213,14 @@ def _cmd_relation(args) -> int:
             r_identity_holds=report.r_identity_holds,
         )
     _emit(args, lines, payload)
-    return 0 if (not args.verify or report.all_ok) else 1
+    return 0 if (report is None or report.all_ok) else 1
 
 
 def _cmd_basis(args) -> int:
     if args.degree < 1:
         raise ValueError("degree must be >= 1")
+    dense = args.matrix or args.check_mod2
+    _check_degree(args.degree, "MAX_BASIS_MATRIX_DEGREE" if dense else "MAX_BASIS_DEGREE", "degree")
     forests = basis_forests(args.degree)
     lines = [f.encoding for f in forests]
     payload: dict = {
@@ -276,8 +299,12 @@ def _cmd_selfcheck(args) -> int:
 
 
 _DISPATCH = {
-    "trees": lambda args: _listing(args, count_trees, enumerate_trees, "trees"),
-    "forests": lambda args: _listing(args, count_forests, enumerate_forests, "forests"),
+    "trees": lambda args: _listing(
+        args, count_trees, enumerate_trees, "trees", "MAX_TREE_DEGREE"
+    ),
+    "forests": lambda args: _listing(
+        args, count_forests, enumerate_forests, "forests", "MAX_FOREST_DEGREE"
+    ),
     "coproduct": _cmd_coproduct,
     "apply": _cmd_apply,
     "sigma": _cmd_sigma,

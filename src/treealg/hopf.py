@@ -17,7 +17,16 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .lincomb import LinComb, Scalar, add_into, format_terms, parse_terms, read_rational
+from .lincomb import (
+    LinComb,
+    Scalar,
+    add_into,
+    format_terms,
+    numerators,
+    over,
+    parse_terms,
+    read_rational,
+)
 from .trees import (
     EMPTY_FOREST,
     Forest,
@@ -107,10 +116,13 @@ def _forest_coproduct(f: Forest) -> TensorElem:
 
 
 def coproduct(a: HElem) -> TensorElem:
+    """Linear extension of the forest coproduct; all-``Fraction``
+    coefficients are summed as numerators over their lcm."""
+    coeffs, den = numerators(a.terms)
     acc: dict[tuple[Forest, Forest], Scalar] = {}
-    for f, c in a.terms.items():
+    for f, c in coeffs.items():
         add_into(acc, _forest_coproduct(f).terms, c)
-    return TensorElem._wrap(acc)
+    return TensorElem._wrap(over(acc, den))
 
 
 # ---------------------------------------------------------------------------

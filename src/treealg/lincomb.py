@@ -5,10 +5,22 @@ owns the linear structure (sums, negation, scalar multiples, type-strict
 equality, zero-pruning) and the degrees of its keys, read through
 ``_degree``, which ``Poly`` (word length) and ``HElem`` (forest degree) set;
 each subclass adds its own key type, product and printer. Sums are
-accumulated in place: ``add_into`` and ``add_product_into`` add into a plain
-dict, which becomes a combination once at the end, so a k-term sum costs
-O(total terms), not O(k^2). Accumulators are always fresh dicts: a value's
-``terms``, memoized or not, is only ever read, never mutated.
+accumulated in place: ``add_into``, ``add_product_into`` and, for words,
+``add_concat_into`` add into a plain dict, which becomes a combination once
+at the end, so a k-term sum costs O(total terms), not O(k^2). Accumulators
+are always fresh dicts: a value's ``terms``, memoized or not, is only ever
+read, never mutated.
+
+The linear extensions (sigma, the coproduct, the rooted-tree-map action and
+the diamond product) sum memoized values, whose coefficients are ints, with
+the coefficients of their input as scales. When those are all ``Fraction``,
+as the kernel vectors and decompositions of ``linalg`` are, the sum runs in
+ints: ``numerators`` rewrites them once as int numerators over L, the lcm of
+their denominators, and ``over`` divides each surviving key once by L. So a
+term costs one int operation, not two ``Fraction`` ones. In the plain fold
+every contribution, and so every surviving key, of such an input is a
+``Fraction``; ``over`` makes each one a ``Fraction`` too, so the coefficient
+types do not change. Any other input is summed as it is, with no rewriting.
 
 The signed-term text form "a - b + c" is printed by ``format_terms`` and
 read back by ``parse_terms``, whose coefficients ("p" or "p/q") are read by
@@ -17,6 +29,7 @@ read back by ``parse_terms``, whose coefficients ("p" or "p/q") are read by
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Hashable, Mapping, TypeVar, Union
 
 Scalar = Union[int, Fraction]
@@ -44,6 +57,25 @@ def add_into(acc: dict, terms: Mapping, scale: Scalar = 1) -> None:
             del acc[k]
 
 
+def numerators(terms: Mapping) -> tuple[Mapping, int | None]:
+    """(numerators, L): if every coefficient is a ``Fraction``, each one as
+    an int numerator over L, the lcm of the denominators; else (terms, None).
+    The test stops at the first coefficient that is not a ``Fraction``."""
+    for c in terms.values():
+        if type(c) is not Fraction:
+            return terms, None
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+
+def over(acc: dict, den: int | None) -> dict:
+    """The sum ``acc`` of numerators over ``den`` as ``Fraction``s; ``acc``
+    itself if den is None (the sum was not rewritten by ``numerators``)."""
+    if den is None:
+        return acc
+    return {k: Fraction(n, den) for k, n in acc.items()}
+
+
 def add_product_into(
     acc: dict, left: Mapping, right: Mapping, combine: Callable, scale: Scalar = 1
 ) -> None:
@@ -55,6 +87,17 @@ def add_product_into(
         sa = scale * a
         for v, b in right.items():
             k = combine(u, v)
+            acc[k] = get(k, 0) + sa * b
+
+
+def add_concat_into(acc: dict, left: Mapping, right: Mapping, scale: Scalar = 1) -> None:
+    """``add_product_into`` for words: the product of u and v is u + v,
+    concatenated inline rather than through a call per pair of terms."""
+    get = acc.get
+    for u, a in left.items():
+        sa = scale * a
+        for v, b in right.items():
+            k = u + v
             acc[k] = get(k, 0) + sa * b
 
 

@@ -18,7 +18,7 @@ Horner; the ladder values and the two diamond pieces of each unordered pair
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diamond import diamond, sigma
 from .hopf import HElem
@@ -113,8 +113,7 @@ def verify_r_identity(m: int, n: int) -> bool:
     return lhs.terms == _r_identity_rhs(m, n).terms
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     """Verification outcome for one (m, n) relation instance."""
 
     m: int

@@ -25,10 +25,8 @@ keys), and memoized values are never mutated.
 """
 from __future__ import annotations
 
-from operator import add
-
 from .hopf import HElem, _forest_coproduct
-from .lincomb import Scalar, add_into, add_product_into
+from .lincomb import Scalar, add_concat_into, add_into, numerators, over
 from .trees import EMPTY_FOREST, Forest, LEAF, Tree
 from .words import Poly, X, op_R
 
@@ -69,7 +67,7 @@ def _forest_on_word(f: Forest, w: str) -> Poly:
         for (f1, f2), c in _forest_coproduct(f).terms.items():
             left = _forest_on_word(f1, v).terms
             if left:
-                add_product_into(acc, left, _forest_on_word(f2, "x").terms, add, c)
+                add_concat_into(acc, left, _forest_on_word(f2, "x").terms, c)
         out = Poly(acc)
     elif len(f.trees) == 1:
         t = f.trees[0]
@@ -91,11 +89,14 @@ def _forest_on_poly(f: Forest, p: Poly) -> Poly:
 
 
 def rtm_apply(f: HElem, w: Poly) -> Poly:
-    """Evaluate the combination f of forests on the polynomial w."""
+    """Evaluate the combination f of forests on the polynomial w; if f's
+    coefficients are all ``Fraction``, they are summed as numerators over
+    their lcm."""
+    coeffs, den = numerators(f.terms)
     acc: dict[str, Scalar] = {}
-    for forest, c in f.terms.items():
+    for forest, c in coeffs.items():
         add_into(acc, _forest_on_poly(forest, w).terms, c)
-    return Poly._wrap(acc)
+    return Poly._wrap(over(acc, den))
 
 
 def rho_is_zero_on_x(f: HElem) -> bool:

@@ -191,6 +191,7 @@ def enumerate_forests(n: int) -> tuple[Forest, ...]:
         raise ValueError("forest degree must be >= 0")
     if n == 0:
         return (EMPTY_FOREST,)
+    # ascending degree: the first tree heavier than what remains ends a scan
     pool = [t for d in range(1, n + 1) for t in enumerate_trees(d)]
 
     def pick(remaining: int, start: int) -> Iterator[tuple[Tree, ...]]:
@@ -199,8 +200,9 @@ def enumerate_forests(n: int) -> tuple[Forest, ...]:
             return
         for i in range(start, len(pool)):
             t = pool[i]
-            if t.degree <= remaining:
-                for rest in pick(remaining - t.degree, i):
-                    yield (t,) + rest
+            if t.degree > remaining:
+                break
+            for rest in pick(remaining - t.degree, i):
+                yield (t,) + rest
 
     return tuple(sorted((Forest(ts) for ts in pick(n, 0)), key=lambda f: f.encoding))

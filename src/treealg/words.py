@@ -8,9 +8,15 @@ x < y.
 """
 from __future__ import annotations
 
-from operator import add
-
-from .lincomb import LinComb, Scalar, format_terms, parse_terms, read_rational, skip_while
+from .lincomb import (
+    LinComb,
+    Scalar,
+    add_concat_into,
+    format_terms,
+    parse_terms,
+    read_rational,
+    skip_while,
+)
 
 
 class PolySyntaxError(ValueError):
@@ -44,7 +50,11 @@ class Poly(LinComb):
 
     def __mul__(self, other: "Poly") -> "Poly":
         """Concatenation product (noncommutative)."""
-        return self._product(other, add)
+        if type(other) is not Poly:
+            return NotImplemented
+        acc: dict[str, Scalar] = {}
+        add_concat_into(acc, self.terms, other.terms)
+        return Poly(acc)
 
     def __repr__(self) -> str:
         return f"Poly({print_poly(self)!r})"

@@ -239,6 +239,20 @@ def _assert_matches(compute, args, expected):
 
 RELATIONS = [build_fmn(m, n) for m, n in [(1, 1), (1, 2), (2, 2), (1, 3)]]
 
+# All-Fraction inputs, summed as int numerators over one common denominator:
+# an integral Fraction(2), mixed denominators 1/2, 1/3 and 5/6, and the
+# relation f_{2,2} scaled by 1/3, whose sigma and value on x cancel exactly.
+LEAF_F = LEAF.as_forest()
+TWO_LEAVES = forest_product(LEAF_F, LEAF_F)
+LADDER_TWO = bplus(LEAF_F).as_forest()
+MIXED_DENOMINATORS = HElem(
+    {LEAF_F: Fraction(2), TWO_LEAVES: Fraction(1, 2), LADDER_TWO: Fraction(-1, 3),
+     bplus(LADDER_TWO).as_forest(): Fraction(5, 6)}
+)
+THIRD_OF_RELATION = HElem(
+    {LEAF_F: Fraction(5, 6), **{f: Fraction(c, 3) for f, c in build_fmn(2, 2).terms.items()}}
+)
+
 
 class TestAgainstFold:
     @settings(max_examples=80, deadline=None)
@@ -247,6 +261,12 @@ class TestAgainstFold:
     )))
     @example((Poly({"x": 1, "y": -1}), Poly({"x": 1, "y": 1})))
     @example((Poly({"xy": Fraction(1, 2), "yx": Fraction(-1, 2)}), Poly({"yx": 2, "xy": 2})))
+    @example((Poly({"x": Fraction(2), "yx": Fraction(1, 3)}),
+              Poly({"xy": Fraction(5, 6), "y": Fraction(1, 2)})))
+    @example((Poly({"x": Fraction(1, 3), "y": Fraction(-1, 3), "xy": Fraction(5, 6)}),
+              Poly({"y": Fraction(1, 3), "x": Fraction(1, 3)})))
+    @example((Poly({"x": Fraction(1, 3)}), Poly({"y": 1, "xy": Fraction(1, 2)})))
+    @example((Poly({"yx": 2, "x": -1}), Poly({"xx": Fraction(2), "y": Fraction(5, 6)})))
     def test_diamond(self, vw):
         v, w = vw
         _assert_matches(diamond, (v, w), ref_diamond(v.terms, w.terms))
@@ -254,11 +274,17 @@ class TestAgainstFold:
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(helems(), st.sampled_from(RELATIONS + sigma_kernel(4))))
     @example(HElem({forest_product(LEAF.as_forest(), LEAF.as_forest()): 1}))
+    @example(MIXED_DENOMINATORS)
+    @example(THIRD_OF_RELATION)
+    @example(HElem({TWO_LEAVES: Fraction(2), LADDER_TWO: Fraction(-1)}))
     def test_sigma(self, a):
         _assert_matches(sigma, (a,), ref_sigma(a.terms))
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(helems(2), st.sampled_from(RELATIONS)), polys(2))
+    @example(MIXED_DENOMINATORS, Poly({"x": 1, "yx": Fraction(5, 6)}))
+    @example(THIRD_OF_RELATION, Poly({"x": Fraction(2), "xy": Fraction(1, 2)}))
+    @example(HElem({f: Fraction(c, 2) for f, c in build_fmn(2, 2).terms.items()}), Poly({"x": 1}))
     def test_rtm_apply(self, f, w):
         _assert_matches(rtm_apply, (f, w), ref_rtm_apply(f.terms, w.terms))
 
@@ -268,6 +294,9 @@ class TestAgainstFold:
         HElem({forest_product(LEAF.as_forest(), LEAF.as_forest()): 1,
                bplus(LEAF.as_forest()).as_forest(): -2})
     )
+    @example(MIXED_DENOMINATORS)
+    @example(THIRD_OF_RELATION)
+    @example(HElem({TWO_LEAVES: Fraction(1, 2), LADDER_TWO: Fraction(-1), LEAF_F: Fraction(1, 3)}))
     def test_coproduct(self, a):
         _assert_matches(coproduct, (a,), ref_coproduct(a.terms))
 

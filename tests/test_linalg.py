@@ -323,6 +323,12 @@ class TestDecompose:
         )
         assert recombined == sigma(target)
 
+    def test_round_trip_at_seven(self):
+        forests = enumerate_forests(7)
+        target = HElem({forests[3]: 2, forests[40]: Fraction(-3, 2), forests[100]: 1})
+        coeffs = decompose(target, 7)
+        assert sigma(HElem(coeffs)) == sigma(target)
+
     def test_relation_decomposes_to_zero(self):
         coeffs = decompose(build_fmn(2, 2), 4)
         assert all(c == 0 for c in coeffs.values())
@@ -342,8 +348,11 @@ class TestKernel:
             assert len(sigma_kernel(d)) == dim
 
     def test_kernel_elements_vanish(self):
-        for d in range(1, 7):
-            for k in sigma_kernel(d):
+        for d in range(1, 8):
+            vectors = sigma_kernel(d)
+            # all-Fraction coefficients: sigma sums their numerators as ints
+            assert all(type(c) is Fraction for k in vectors for c in k.terms.values())
+            for k in vectors:
                 assert sigma(k).is_zero()
 
     def test_kernel_kills_x_too(self):

@@ -191,7 +191,7 @@ class TestCounts:
     def test_counts_match_enumeration(self):
         for n in range(1, 11):
             assert count_trees(n) == len(enumerate_trees(n)) == TREE_COUNTS[n - 1]
-        for n in range(10):
+        for n in range(13):
             assert count_forests(n) == len(enumerate_forests(n)) == count_trees(n + 1)
 
     def test_far_beyond_enumeration(self):

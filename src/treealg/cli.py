@@ -103,10 +103,14 @@ def _listing(args, count, enumerate_, key: str, cap: str) -> int:
 
 # The largest output degree that sigma, apply and diamond accept: forest
 # degree, forest degree plus word length, and the sum of the word lengths.
-# Term counts grow exponentially with it. At the cap, the slowest inputs
-# measured (sigma of 19 leaves, and 18 leaves on x) take about 10 s and
-# 0.9 GB on a 2-core x86-64 host with Python 3.11.
-MAX_OUTPUT_DEGREE = 19
+# Term counts grow exponentially with it, and products of [[]] cost far more
+# than products of leaves. At the cap, the slowest of the products of [[]]
+# and their mixes with leaves, sigma of [[]] x 8, takes 3.6 s and 560 MB;
+# one degree more, sigma of [[]] x 8 [], takes 8.0 s and 1.3 GB, and at
+# degree 18 sigma of [[]] x 9 runs out of a 2.5 GB address space (2-core
+# x86-64 host, Python 3.11). Products of deeper ladders cost more again:
+# the cap bounds degree, not work.
+MAX_OUTPUT_DEGREE = 16
 
 # The largest degree that the dense commands, kernel and decompose, accept:
 # both eliminate a matrix of sigma values against the 2^(d-1) words ending

@@ -285,6 +285,8 @@ class TestAgainstFold:
     @example(MIXED_DENOMINATORS, Poly({"x": 1, "yx": Fraction(5, 6)}))
     @example(THIRD_OF_RELATION, Poly({"x": Fraction(2), "xy": Fraction(1, 2)}))
     @example(HElem({f: Fraction(c, 2) for f, c in build_fmn(2, 2).terms.items()}), Poly({"x": 1}))
+    @example(HElem({bplus(LADDER_TWO).as_forest(): -2, forest_product(TWO_LEAVES, LEAF_F): -2}),
+             Poly({"xx": Fraction(1, 2), "xy": -2}))
     def test_rtm_apply(self, f, w):
         _assert_matches(rtm_apply, (f, w), ref_rtm_apply(f.terms, w.terms))
 
@@ -344,6 +346,7 @@ def _clear_memos():
         diamond_module._DIAMOND_CACHE,
         diamond_module._SIGMA_FOREST,
         rtm._ON_WORD_CACHE,
+        rtm._RIGHT_FACTORS,
         hopf._FOREST_DELTA,
         relations._WORD_ROUTE,
     )
@@ -409,3 +412,59 @@ class TestColdAndWarm:
         expected = ref_coproduct(a.terms)
         _clear_memos()
         _assert_matches(coproduct, (a,), expected)
+
+
+# --- a combination as one map against the sum over its forests --------------
+
+INT_COEFFS = st.sampled_from([-2, -1, 1, 2, 3])
+FRACTION_COEFFS = st.sampled_from(
+    [Fraction(1, 2), Fraction(-1, 2), Fraction(2), Fraction(-5, 6), Fraction(1, 3)]
+)
+ALL_COEFFS = (INT_COEFFS, FRACTION_COEFFS, COEFFS)  # all int, all Fraction, mixed
+
+
+def _combinations(coeffs):
+    """Two or more forests; or a relation or kernel vector, scaled, which
+    cancels in the coproduct; or, from ``_cancelling``, p - q + extra
+    terms, which cancels in the combination itself when p = q."""
+    return st.one_of(
+        st.dictionaries(FORESTS, coeffs, min_size=2, max_size=4).map(HElem),
+        st.tuples(st.sampled_from(RELATIONS + sigma_kernel(4)), coeffs).map(
+            lambda t: t[1] * t[0]
+        ),
+        _cancelling(FORESTS, 2).map(lambda pq: HElem(pq[0])),
+    )
+
+
+def _polys(coeffs):
+    return st.dictionaries(st.sampled_from(all_words(4)), coeffs, max_size=3).map(Poly)
+
+
+def per_forest_sum(f, w):
+    """sum of c * rtm_apply(forest, w) over the terms c * forest of f,
+    folded forest by forest as the plain fold does."""
+    out = {}
+    for forest, c in f.terms.items():
+        out = _plus(out, _scaled(c, rtm_apply(HElem({forest: 1}), w).terms))
+    return out
+
+
+class TestCombinationAsOneMap:
+    """rtm_apply of a combination of forests, evaluated as one map where
+    its coefficients allow, against the sum of its forests' values: equal
+    terms and equal coefficient types, cold and then warm."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(*map(_combinations, ALL_COEFFS)),
+        st.one_of(*map(_polys, ALL_COEFFS)),
+    )
+    @example(HElem({bplus(LADDER_TWO).as_forest(): -2, forest_product(TWO_LEAVES, LEAF_F): -2}),
+             Poly({"xx": Fraction(1, 2), "xy": -2}))
+    @example(THIRD_OF_RELATION, Poly({"xyx": 1, "y": Fraction(1, 2)}))
+    @example(3 * build_fmn(2, 2), Poly({"xxy": 2, "yx": -1}))
+    @example(HElem({**build_fmn(1, 3).terms, LEAF_F: Fraction(1, 2)}), Poly({"xx": 1}))
+    def test_cold_then_warm(self, f, w):
+        expected = per_forest_sum(f, w)
+        _clear_memos()
+        _assert_matches(rtm_apply, (f, w), expected)

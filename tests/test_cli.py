@@ -258,6 +258,7 @@ class TestErrors:
             (("apply", "[] - [[]] [[]]", "xy + " + "y" * 16), 20),
             (("sigma", " ".join(["[]"] * 20)), 20),
             (("sigma", "[" * 1200 + "]" * 1200), 1200),
+            (("sigma", " ".join(["[[]]"] * 9 + ["[]"])), 19),
         ],
     )
     def test_output_degree_above_cap(self, capsys, argv, degree):

@@ -5,6 +5,7 @@ import pytest
 from treealg import (
     HElem,
     LEAF,
+    build_fmn,
     diamond,
     enumerate_forests,
     enumerate_trees,
@@ -16,6 +17,7 @@ from treealg import (
     rtm_tree_on_letter,
     sigma_forest,
 )
+from treealg import rtm
 from treealg.words import Poly, X, Y, Z
 
 from conftest import all_words, forests_up_to
@@ -141,3 +143,19 @@ class TestZeroCertificate:
     def test_rejects_degree_zero_component(self):
         with pytest.raises(ValueError):
             rho_is_zero_on_x(HElem.one())
+
+
+class TestRelationsAsOneMap:
+    def test_relations_vanish_on_short_words(self):
+        for total in range(2, 8):
+            for m in range(1, total):
+                f = build_fmn(m, total - m)
+                for w in all_words(3):
+                    assert rtm_apply(f, Poly.from_word(w)).is_zero(), (m, total - m, w)
+
+    def test_proper_cuts_of_f22_cancel(self):
+        # every group of the coproduct of f_{2,2} with a nonempty right
+        # factor sums to zero on x, so F(vx) = F(v)x
+        f = build_fmn(2, 2)
+        assert rtm_apply(f, Poly.from_word("xyx")).is_zero()
+        assert rtm._RIGHT_FACTORS[frozenset(f.terms.items())] == []

@@ -108,8 +108,10 @@ def _listing(args, count, enumerate_, key: str, cap: str) -> int:
 # and their mixes with leaves, sigma of [[]] x 8, takes 3.6 s and 560 MB;
 # one degree more, sigma of [[]] x 8 [], takes 8.0 s and 1.3 GB, and at
 # degree 18 sigma of [[]] x 9 runs out of a 2.5 GB address space (2-core
-# x86-64 host, Python 3.11). Products of deeper ladders cost more again:
-# the cap bounds degree, not work.
+# x86-64 host, Python 3.11). Products of deeper ladders cost more again, and
+# sigma of [[[[]]]] x 4 runs out of 2.5 GB at the cap: the cap bounds
+# degree, not work, and an input that runs out of memory exits 2 with
+# "error: out of memory".
 MAX_OUTPUT_DEGREE = 16
 
 # The largest degree that the dense commands, kernel and decompose, accept:
@@ -332,6 +334,9 @@ def run(argv: list[str] | None = None) -> int:
         return _DISPATCH[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

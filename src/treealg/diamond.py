@@ -21,19 +21,13 @@ about 20% more peak memory for 18 leaves.) Forest values are memoized in one
 table keyed by forest, ``_SIGMA_FOREST``: a one-tree forest takes the
 grafting rule, any other forest the diamond product of its last tree's
 value with that of the trees before it. Every sum accumulates in place into
-one fresh dict (``lincomb.add_into``); memoized values are never mutated.
-
-Word products and forest values have int coefficients, so ``sigma`` of a
-combination whose coefficients are all ``Fraction`` (a kernel vector, a
-decomposition) sums int numerators over the lcm L of their denominators
-and divides each surviving word by L once (``lincomb.numerators`` and
-``over``); ``diamond`` does so for each such factor. In the plain fold every
-contribution of such an input is a ``Fraction``, so the types are the same.
+one fresh dict, all-``Fraction`` coefficients are summed in ints
+(``lincomb``), and memoized values are never mutated.
 """
 from __future__ import annotations
 
 from .hopf import HElem
-from .lincomb import Scalar, add_into, numerators, over
+from .lincomb import Scalar, add_into, linear, numerators, over
 from .trees import Forest, LEAF
 from .words import ONE, Poly, Y, op_R
 
@@ -102,10 +96,5 @@ def sigma_forest(f: Forest) -> Poly:
 
 
 def sigma(a: HElem) -> Poly:
-    """Linear extension of the forest-to-polynomial homomorphism; all-``Fraction``
-    coefficients are summed as numerators over their lcm."""
-    coeffs, den = numerators(a.terms)
-    acc: dict[str, Scalar] = {}
-    for f, c in coeffs.items():
-        add_into(acc, sigma_forest(f).terms, c)
-    return Poly._wrap(over(acc, den))
+    """Linear extension of the forest-to-polynomial homomorphism."""
+    return Poly._wrap(linear(a.terms, lambda f: sigma_forest(f).terms))

@@ -20,10 +20,8 @@ from operator import attrgetter
 from .lincomb import (
     LinComb,
     Scalar,
-    add_into,
     format_terms,
-    numerators,
-    over,
+    linear,
     parse_terms,
     read_rational,
 )
@@ -72,9 +70,6 @@ class TensorElem(LinComb):
     def __mul__(self, other: "TensorElem") -> "TensorElem":
         return self._product(other, _pair_product)
 
-    def swap(self) -> "TensorElem":
-        return TensorElem._wrap({(b, a): c for (a, b), c in self.terms.items()})
-
     def __repr__(self) -> str:
         return f"TensorElem({print_tensor(self)!r})"
 
@@ -116,13 +111,8 @@ def _forest_coproduct(f: Forest) -> TensorElem:
 
 
 def coproduct(a: HElem) -> TensorElem:
-    """Linear extension of the forest coproduct; all-``Fraction``
-    coefficients are summed as numerators over their lcm."""
-    coeffs, den = numerators(a.terms)
-    acc: dict[tuple[Forest, Forest], Scalar] = {}
-    for f, c in coeffs.items():
-        add_into(acc, _forest_coproduct(f).terms, c)
-    return TensorElem._wrap(over(acc, den))
+    """Linear extension of the forest coproduct."""
+    return TensorElem._wrap(linear(a.terms, lambda f: _forest_coproduct(f).terms))
 
 
 # ---------------------------------------------------------------------------

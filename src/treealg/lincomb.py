@@ -5,22 +5,23 @@ owns the linear structure (sums, negation, scalar multiples, type-strict
 equality, zero-pruning) and the degrees of its keys, read through
 ``_degree``, which ``Poly`` (word length) and ``HElem`` (forest degree) set;
 each subclass adds its own key type, product and printer. Sums are
-accumulated in place: ``add_into``, ``add_product_into`` and, for words,
-``add_concat_into`` add into a plain dict, which becomes a combination once
-at the end, so a k-term sum costs O(total terms), not O(k^2). Accumulators
-are always fresh dicts: a value's ``terms``, memoized or not, is only ever
-read, never mutated.
+accumulated in place: ``add_into`` and, for words, ``add_concat_into`` add
+into a plain dict, which becomes a combination once at the end, so a k-term
+sum costs O(total terms), not O(k^2). Accumulators are always fresh dicts:
+a value's ``terms``, memoized or not, is only ever read, never mutated.
 
-The linear extensions (sigma, the coproduct, the rooted-tree-map action and
-the diamond product) sum memoized values, whose coefficients are ints, with
-the coefficients of their input as scales. When those are all ``Fraction``,
-as the kernel vectors and decompositions of ``linalg`` are, the sum runs in
-ints: ``numerators`` rewrites them once as int numerators over L, the lcm of
-their denominators, and ``over`` divides each surviving key once by L. So a
-term costs one int operation, not two ``Fraction`` ones. In the plain fold
-every contribution, and so every surviving key, of such an input is a
-``Fraction``; ``over`` makes each one a ``Fraction`` too, so the coefficient
-types do not change. Any other input is summed as it is, with no rewriting.
+Every map on forests (sigma, the coproduct, the rooted-tree-map action) is
+defined on single keys and extended linearly by ``linear``, which sums the
+memoized values, whose coefficients are ints, with the coefficients of its
+input as scales. When those are all ``Fraction``, as the kernel vectors and
+decompositions of ``linalg`` are, the sum runs in ints: ``numerators``
+rewrites them once as int numerators over L, the lcm of their denominators,
+and ``over`` divides each surviving key once by L. So a term costs one int
+operation, not two ``Fraction`` ones. In the plain fold every contribution,
+and so every surviving key, of such an input is a ``Fraction``; ``over``
+makes each one a ``Fraction`` too, so the coefficient types do not change.
+Any other input is summed as it is, with no rewriting. The diamond product,
+the one bilinear map, rewrites each factor the same way.
 
 The signed-term text form "a - b + c" is printed by ``format_terms`` and
 read back by ``parse_terms``, whose coefficients ("p" or "p/q") are read by
@@ -76,29 +77,26 @@ def over(acc: dict, den: int | None) -> dict:
     return {k: Fraction(n, den) for k, n in acc.items()}
 
 
-def add_product_into(
-    acc: dict, left: Mapping, right: Mapping, combine: Callable, scale: Scalar = 1
-) -> None:
-    """acc += scale * left * right in place, where the product of keys u and
-    v is combine(u, v). Zero sums stay in acc: the pruning constructor drops
-    them once, when acc is complete."""
+def add_concat_into(acc: dict, left: Mapping, right: Mapping) -> None:
+    """acc += left * right in place for words, where the product of u and v
+    is u + v. Zero sums stay in acc: the pruning constructor drops them
+    once, when acc is complete."""
     get = acc.get
     for u, a in left.items():
-        sa = scale * a
-        for v, b in right.items():
-            k = combine(u, v)
-            acc[k] = get(k, 0) + sa * b
-
-
-def add_concat_into(acc: dict, left: Mapping, right: Mapping, scale: Scalar = 1) -> None:
-    """``add_product_into`` for words: the product of u and v is u + v,
-    concatenated inline rather than through a call per pair of terms."""
-    get = acc.get
-    for u, a in left.items():
-        sa = scale * a
         for v, b in right.items():
             k = u + v
-            acc[k] = get(k, 0) + sa * b
+            acc[k] = get(k, 0) + a * b
+
+
+def linear(terms: Mapping, value: Callable[[Hashable], Mapping]) -> dict:
+    """The linear extension of ``value``: the sum of c * value(k) over the
+    terms c * k, as a fresh dict with zero sums dropped. All-``Fraction``
+    coefficients are summed as int numerators over their lcm."""
+    coeffs, den = numerators(terms)
+    acc: dict = {}
+    for k, c in coeffs.items():
+        add_into(acc, value(k), c)
+    return over(acc, den)
 
 
 def format_terms(
@@ -228,7 +226,11 @@ class LinComb:
         if type(other) is not type(self):
             return NotImplemented
         acc: dict = {}
-        add_product_into(acc, self.terms, other.terms, combine)
+        get = acc.get
+        for u, a in self.terms.items():
+            for v, b in other.terms.items():
+                k = combine(u, v)
+                acc[k] = get(k, 0) + a * b
         return type(self)(acc)
 
     def __eq__(self, other: object) -> bool:

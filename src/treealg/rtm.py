@@ -34,27 +34,28 @@ grouped from the linear coproduct sum c_f delta(f). Terms of the coproduct
 and groups that cancel are dropped before any word product is expanded:
 the relations f_{m,n} vanish, so F(v) is zero and most of H_F cancels.
 ``rtm_apply`` takes this route for a combination of two or more forests
-whose coefficients, after ``numerators``, are ints, on a polynomial whose
-coefficients all have one type; then every term of the plain per-forest
-sum has one type, and so has the result, key by key. Any other input is
-summed forest by forest.
+whose coefficients are ints, or all ``Fraction`` (summed in ints, see
+``lincomb``), on a polynomial whose coefficients all have one type; then
+every term of the plain per-forest sum has one type, and so has the
+result, key by key. Any other input is summed forest by forest.
 
 A map is named by a key: a forest, or a frozenset of (forest, int) pairs
 for a combination. Values are memoized in one table keyed by (key, word),
 ``_ON_WORD_CACHE``, and the groups H in ``_RIGHT_FACTORS``, keyed by key,
 on top of the coproduct memo of ``hopf``; on x, a one-tree forest takes the
-grafting rule and any other forest the composition rule. Every sum
-accumulates into a fresh dict (``lincomb``), every memo entry is built
-compact (no slots left by deleted keys), and memoized values are never
-mutated.
+grafting rule and any other forest the composition rule. Every linear
+extension runs through ``lincomb.linear``, every sum accumulates into a
+fresh dict, every memo entry is built compact (no slots left by deleted
+keys), and memoized values are never mutated.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Union
 
 from .hopf import HElem, _forest_coproduct, coproduct
-from .lincomb import Scalar, add_concat_into, add_into, numerators, over
-from .trees import EMPTY_FOREST, Forest, LEAF, Tree
+from .lincomb import Scalar, add_concat_into, add_into, linear, numerators
+from .trees import EMPTY_FOREST, Forest, LEAF
 from .words import Poly, X, op_R
 
 # a forest, or a combination of forests as a frozenset of (forest, int) pairs
@@ -63,13 +64,6 @@ Key = Union[Forest, frozenset]
 _XY = Poly._wrap({"xy": 1})
 _ON_WORD_CACHE: dict[tuple[Key, str], Poly] = {}
 _RIGHT_FACTORS: dict[Key, list[tuple[Forest, dict[str, Scalar]]]] = {}
-
-
-def rtm_tree_on_letter(t: Tree, v: str) -> Poly:
-    """Value of a single tree on the letter "x" or "y"."""
-    if v not in ("x", "y"):
-        raise ValueError(f"expected letter 'x' or 'y', got {v!r}")
-    return _on_word(t.as_forest(), v)
 
 
 def _on_word(key: Key, w: str) -> Poly:
@@ -104,10 +98,7 @@ def _on_word(key: Key, w: str) -> Poly:
                 add_concat_into(acc, left, h)
         out = Poly(acc)
     elif type(key) is not Forest:
-        acc = {}
-        for f, c in key:
-            add_into(acc, _on_word(f, "x").terms, c)
-        out = Poly(acc)
+        out = Poly(linear(dict(key), lambda f: _on_word(f, "x").terms))
     elif len(key.trees) == 1:
         t = key.trees[0]
         out = _XY if t is LEAF else op_R(_on_word(t.child_forest(), "x"))
@@ -146,22 +137,16 @@ def _on_poly(key: Key, p: Poly) -> dict[str, Scalar]:
 
 
 def rtm_apply(f: HElem, w: Poly) -> Poly:
-    """Evaluate the combination f of forests on the polynomial w; if f's
-    coefficients are all ``Fraction``, they are summed as numerators over
-    their lcm. A combination of two or more forests with int (numerator)
-    coefficients, on a w whose coefficients have one type, is evaluated
-    as one map."""
-    coeffs, den = numerators(f.terms)
-    if (
-        len(coeffs) > 1
-        and all(type(c) is int for c in coeffs.values())
-        and len(set(map(type, w.terms.values()))) <= 1
-    ):
-        coeffs = {frozenset(coeffs.items()): 1}
-    acc: dict[str, Scalar] = {}
-    for key, c in coeffs.items():
-        add_into(acc, _on_poly(key, w), c)
-    return Poly._wrap(over(acc, den))
+    """Evaluate the combination f of forests on the polynomial w. A
+    combination of two or more forests with int coefficients, or all
+    ``Fraction`` ones as int numerators over their lcm L scaled by 1/L, on
+    a w whose coefficients have one type, is evaluated as one map."""
+    terms = f.terms
+    if len(terms) > 1 and len(set(map(type, w.terms.values()))) <= 1:
+        coeffs, den = numerators(terms)
+        if all(type(c) is int for c in coeffs.values()):
+            terms = {frozenset(coeffs.items()): 1 if den is None else Fraction(1, den)}
+    return Poly._wrap(linear(terms, lambda key: _on_poly(key, w)))
 
 
 def rho_is_zero_on_x(f: HElem) -> bool:

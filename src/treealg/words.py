@@ -44,10 +44,6 @@ class Poly(LinComb):
     def one(cls) -> "Poly":
         return cls._wrap({"": 1})
 
-    def ends_in_y(self) -> bool:
-        """True if every term is a nonempty word ending in y."""
-        return all(w.endswith("y") for w in self.terms)
-
     def __mul__(self, other: "Poly") -> "Poly":
         """Concatenation product (noncommutative)."""
         if type(other) is not Poly:

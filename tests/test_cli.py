@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -128,7 +129,7 @@ class TestGoldenOutput:
         assert err == ""
 
 
-def _run_module(*argv):
+def _run_module(*argv, preexec_fn=None):
     """``python -m treealg *argv`` in a fresh interpreter."""
     src = str(Path(treealg.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
@@ -139,6 +140,7 @@ def _run_module(*argv):
         text=True,
         env=env,
         timeout=60,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -291,6 +293,18 @@ class TestErrors:
             f"MAX_DENSE_DEGREE = {MAX_DENSE_DEGREE}\n"
         )
 
+    def test_out_of_memory_exits_2(self):
+        # degree 16, at the cap; the address-space limit is set on the child
+        # only, which runs out of memory in the diamond memo
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+        start = time.perf_counter()
+        done = _run_module("sigma", " ".join(["[[[[]]]]"] * 4), preexec_fn=limit)
+        assert time.perf_counter() - start < 5
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: out of memory\n"
+
     def test_coproduct_deeper_than_the_recursion_limit(self):
         # a fresh interpreter: no shallower ladder's coproduct is memoized
         done = _run_module("coproduct", "[" * 1200 + "]" * 1200)
@@ -382,6 +396,19 @@ class TestSelfcheck:
             drawn.clear()
         assert per_check["diamond-laws"]
         assert max(map(len, per_check["diamond-laws"])) <= 2
+
+    def test_relation_family_stops_at_nine(self, capsys, monkeypatch):
+        pairs = []
+        verify_fmn = selfcheck.verify_fmn
+        monkeypatch.setattr(
+            selfcheck, "verify_fmn", lambda m, n: pairs.append(m + n) or verify_fmn(m, n)
+        )
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "selfcheck", "--max-degree", "30")
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert out.splitlines()[-1] == "selfcheck passed"
+        assert max(pairs) == 9
 
     def test_rejects_negative_max_degree(self, capsys):
         code, out, err = invoke(capsys, "selfcheck", "--max-degree", "-3")

@@ -4,17 +4,14 @@ import pytest
 
 from treealg import (
     HElem,
-    LEAF,
     build_fmn,
     diamond,
     enumerate_forests,
     enumerate_trees,
-    ladder,
     parse_forest,
     parse_poly,
     rho_is_zero_on_x,
     rtm_apply,
-    rtm_tree_on_letter,
     sigma_forest,
 )
 from treealg import rtm
@@ -41,17 +38,9 @@ class TestLetterValues:
         assert on("[[][]]", "x") == parse_poly("-xxxy - 2xxyy + xyxy + 2xyyy")
 
     def test_tree_on_letter_values(self):
-        assert rtm_tree_on_letter(LEAF, "x") == parse_poly("xy")
-        assert rtm_tree_on_letter(ladder(2).trees[0], "x") == parse_poly(
-            "xxy + 2xyy"
-        )
-        assert rtm_tree_on_letter(parse_forest("[[][]]").trees[0], "y") == parse_poly(
-            "xxxy + 2xxyy - xyxy - 2xyyy"
-        )
-
-    def test_rejects_non_letter(self):
-        with pytest.raises(ValueError):
-            rtm_tree_on_letter(LEAF, "z")
+        assert on("[]", "x") == parse_poly("xy")
+        assert on("[[]]", "x") == parse_poly("xxy + 2xyy")
+        assert on("[[][]]", "y") == parse_poly("xxxy + 2xxyy - xyxy - 2xyyy")
 
 
 class TestStructure:

@@ -12,41 +12,53 @@ and extended bilinearly. ``sigma`` sends a forest to its polynomial value:
 the leaf goes to y, grafting acts by the degree-raising operator, and a
 product of trees goes to the diamond product of their values.
 
-The product is commutative, so word products are memoized in
-``_DIAMOND_CACHE`` once per unordered pair of words, under the key with the
-longer word first and words of one length in string order; the recursion
-runs on that orientation. (Plain string order would make the recursion
-reach more distinct pairs: 61k entries, not 49k, for sigma of 16 leaves, and
-about 20% more peak memory for 18 leaves.) Forest values are memoized in one
-table keyed by forest, ``_SIGMA_FOREST``: a one-tree forest takes the
-grafting rule, any other forest the diamond product of its last tree's
-value with that of the trees before it. Every sum accumulates in place into
+The product is commutative, so word products are cached once per
+unordered pair: ``_diamond_words`` answers the empty-word cases and puts
+the longer word first, words of one length in string order, and the
+recursion runs in ``_diamond_pair`` on that orientation. (Plain string
+order would make the recursion reach more distinct pairs: 61k entries, not
+49k, for sigma of 16 leaves, and about 20% more peak memory for 18
+leaves.) ``sigma_forest`` caches forest values: a one-tree forest takes
+the grafting rule, any other forest the diamond product of its last tree's
+value with that of the trees before it. Both caches are ``functools.cache``
+(``cache_info()``, ``cache_clear()``). Every sum accumulates in place into
 one fresh dict, all-``Fraction`` coefficients are summed in ints
-(``lincomb``), and memoized values are never mutated.
+(``lincomb``), and cached values are never mutated.
 """
 from __future__ import annotations
+
+from functools import cache
 
 from .hopf import HElem
 from .lincomb import Scalar, add_into, linear, numerators, over
 from .trees import Forest, LEAF
 from .words import ONE, Poly, Y, op_R
 
-_DIAMOND_CACHE: dict[tuple[str, str], Poly] = {}
 _FLIP = {"x": "y", "y": "x"}
+# The recursion strips one letter a call, which counts three times against
+# the recursion limit (front, cache wrapper, body). A pair whose longer word
+# is _JUMP or more letters longer first fills the pair with that word _JUMP
+# letters shorter, so a long word nests about len/_JUMP + _JUMP calls deep.
+_JUMP = 64
 
 
 def _diamond_words(a: str, b: str) -> Poly:
-    """Diamond product of two single words, memoized once per unordered
-    pair: the longer word first, words of one length in string order."""
+    """Diamond product of two single words, cached once per unordered pair:
+    the longer word first, words of one length in string order."""
     if not a:
         return Poly._wrap({b: 1})
     if not b:
         return Poly._wrap({a: 1})
     if len(a) < len(b) or (len(a) == len(b) and a > b):
         a, b = b, a
-    cached = _DIAMOND_CACHE.get((a, b))
-    if cached is not None:
-        return cached
+    return _diamond_pair(a, b)
+
+
+@cache
+def _diamond_pair(a: str, b: str) -> Poly:
+    if len(a) - len(b) >= _JUMP:
+        # the recursion reaches this pair through its first parts anyway
+        _diamond_words(a[:-_JUMP], b)
     v, p = a[:-1], a[-1]
     w, q = b[:-1], b[-1]
     acc = {u + p: c for u, c in _diamond_words(v, b).terms.items()}
@@ -58,9 +70,7 @@ def _diamond_words(a: str, b: str) -> Poly:
         # the second part ends in q, the first in p: no key repeats
         for u, c in _diamond_words(a, w).terms.items():
             acc[u + q] = c
-    out = Poly._wrap(acc)
-    _DIAMOND_CACHE[(a, b)] = out
-    return out
+    return Poly._wrap(acc)
 
 
 def diamond(v: Poly, w: Poly) -> Poly:
@@ -75,24 +85,16 @@ def diamond(v: Poly, w: Poly) -> Poly:
     return Poly._wrap(over(acc, lden * rden if lden and rden else lden or rden))
 
 
-_SIGMA_FOREST: dict[Forest, Poly] = {}
-
-
+@cache
 def sigma_forest(f: Forest) -> Poly:
     """The polynomial value of a single forest (diamond product of tree values)."""
     if not f.trees:
         return ONE
-    cached = _SIGMA_FOREST.get(f)
-    if cached is not None:
-        return cached
     if len(f.trees) == 1:
         t = f.trees[0]
-        out = Y if t is LEAF else op_R(sigma_forest(t.child_forest()))
-    else:
-        *init, last = f.trees
-        out = diamond(sigma_forest(Forest(init)), sigma_forest(last.as_forest()))
-    _SIGMA_FOREST[f] = out
-    return out
+        return Y if t is LEAF else op_R(sigma_forest(t.child_forest()))
+    *init, last = f.trees
+    return diamond(sigma_forest(Forest(init)), sigma_forest(last.as_forest()))
 
 
 def sigma(a: HElem) -> Poly:

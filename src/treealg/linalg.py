@@ -13,7 +13,7 @@ to the y-ending word basis, and per-degree kernel computation.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import product
 from math import lcm
 
@@ -176,7 +176,7 @@ class BitMatrix:
         return self.rows == self.cols and self.rank() == self.cols
 
 
-@lru_cache(maxsize=None)
+@cache
 def basis_forests(d: int) -> tuple[Forest, ...]:
     """The degree-d basis family, grown by grafting and leaf-multiplication."""
     if d < 0:

@@ -7,17 +7,20 @@
       + sum over the same range, (i, j) != (0, 0), of
             chain^(m-i+n-j-1)( leaf * ladder(i) * ladder(j) )
 
-where chain^k wraps a forest in k successive graftings. Both the
-polynomial image and the value on x of the result vanish, and the same
-statement can be checked purely inside the word algebra via
+where chain^k wraps a forest in k successive graftings, ``ladder(k, f)``.
+Both the polynomial image and the value on x of the result vanish, and the
+same statement can be checked purely inside the word algebra via
 ``verify_r_identity``: with L_k = R^(k-1)(y) the value of ladder(k), the
 product L_m <> L_n equals the image of the sum above, term by term. Its
 right-hand side groups the terms by their power of R and applies R by
-Horner; the ladder values and the two diamond pieces of each unordered pair
-{i, j} are memoized in ``_WORD_ROUTE``, shared by every (m, n).
+Horner. The ladder values (``_ladder_poly``, by k) and the two diamond
+pieces of each unordered pair {i, j} (``_pieces``, by (min, max)) are
+cached with ``functools.cache`` and shared by every (m, n);
+``cache_info()`` reports their entries, hits and misses.
 """
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 from .diamond import diamond, sigma
@@ -26,13 +29,6 @@ from .lincomb import Scalar, add_into
 from .rtm import rho_is_zero_on_x
 from .trees import Forest, LEAF, bplus, forest_product, ladder
 from .words import ONE, Poly, Y, op_R
-
-
-def chain_wrap(k: int, f: Forest) -> Forest:
-    """Wrap a forest in k successive graftings (k = 0 leaves it as is)."""
-    for _ in range(k):
-        f = bplus(f).as_forest()
-    return f
 
 
 def build_fmn(m: int, n: int) -> HElem:
@@ -44,40 +40,30 @@ def build_fmn(m: int, n: int) -> HElem:
             inner = forest_product(
                 LEAF.as_forest(), bplus(forest_product(ladder(i), ladder(j))).as_forest()
             )
-            add_into(acc, {chain_wrap(m - i + n - j - 2, inner): 1}, -1)
+            k = ladder(m - i + n - j - 2, inner)
+            acc[k] = acc.get(k, 0) - 1
             if (i, j) != (0, 0):
                 bare = forest_product(
                     LEAF.as_forest(), forest_product(ladder(i), ladder(j))
                 )
-                add_into(acc, {chain_wrap(m - i + n - j - 1, bare): 1})
-    return HElem._wrap(acc)
+                k = ladder(m - i + n - j - 1, bare)
+                acc[k] = acc.get(k, 0) + 1
+    # the pruning constructor drops the terms that cancel
+    return HElem(acc)
 
 
-# The word route's memo, one plain dict never mutated: k -> L_k, the
-# polynomial value of ladder(k), and (i, j) with i <= j -> the two pieces
-# (y <> r(L_i <> L_j), y <> (L_i <> L_j)), which depend only on {i, j}.
-_WORD_ROUTE: dict = {}
-
-
+@cache
 def _ladder_poly(k: int) -> Poly:
     """Polynomial value of ladder(k): 1 for k = 0, else R^(k-1)(y)."""
-    cached = _WORD_ROUTE.get(k)
-    if cached is None:
-        cached = ONE if k == 0 else Y if k == 1 else op_R(_ladder_poly(k - 1))
-        _WORD_ROUTE[k] = cached
-    return cached
+    return ONE if k == 0 else Y if k == 1 else op_R(_ladder_poly(k - 1))
 
 
+@cache
 def _pieces(i: int, j: int) -> tuple[Poly, Poly]:
     """(y <> r(L_i <> L_j), y <> (L_i <> L_j)), where r is R extended to send
-    the unit to y; memoized under (min(i, j), max(i, j))."""
-    key = (i, j) if i <= j else (j, i)
-    cached = _WORD_ROUTE.get(key)
-    if cached is None:
-        inner = diamond(_ladder_poly(i), _ladder_poly(j))
-        cached = (diamond(Y, Y if inner == ONE else op_R(inner)), diamond(Y, inner))
-        _WORD_ROUTE[key] = cached
-    return cached
+    the unit to y; called with i <= j, as the pieces depend only on {i, j}."""
+    inner = diamond(_ladder_poly(i), _ladder_poly(j))
+    return diamond(Y, Y if inner == ONE else op_R(inner)), diamond(Y, inner)
 
 
 def _r_identity_rhs(m: int, n: int) -> Poly:
@@ -92,7 +78,7 @@ def _r_identity_rhs(m: int, n: int) -> Poly:
     groups: list[dict[str, Scalar]] = [{} for _ in range(top + 1)]
     for i in range(m):
         for j in range(n):
-            grafted, bare = _pieces(i, j)
+            grafted, bare = _pieces(min(i, j), max(i, j))
             add_into(groups[top - i - j], grafted.terms)
             if i or j:
                 add_into(groups[top + 1 - i - j], bare.terms, -1)

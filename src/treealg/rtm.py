@@ -40,17 +40,19 @@ every term of the plain per-forest sum has one type, and so has the
 result, key by key. Any other input is summed forest by forest.
 
 A map is named by a key: a forest, or a frozenset of (forest, int) pairs
-for a combination. Values are memoized in one table keyed by (key, word),
-``_ON_WORD_CACHE``, and the groups H in ``_RIGHT_FACTORS``, keyed by key,
-on top of the coproduct memo of ``hopf``; on x, a one-tree forest takes the
-grafting rule and any other forest the composition rule. Every linear
-extension runs through ``lincomb.linear``, every sum accumulates into a
-fresh dict, every memo entry is built compact (no slots left by deleted
-keys), and memoized values are never mutated.
+for a combination. ``_on_word`` caches values by (key, word) and
+``_right_factors`` the groups H by key, both with ``functools.cache``
+(``cache_info()``, ``cache_clear()``), on top of the coproduct table of
+``hopf``; on x, a one-tree forest takes the grafting rule and any other
+forest the composition rule. Every linear extension runs through
+``lincomb.linear``, every sum accumulates into a fresh dict, every cached
+value is built compact (no slots left by deleted keys), and cached values
+are never mutated.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Union
 
 from .hopf import HElem, _forest_coproduct, coproduct
@@ -62,10 +64,13 @@ from .words import Poly, X, op_R
 Key = Union[Forest, frozenset]
 
 _XY = Poly._wrap({"xy": 1})
-_ON_WORD_CACHE: dict[tuple[Key, str], Poly] = {}
-_RIGHT_FACTORS: dict[Key, list[tuple[Forest, dict[str, Scalar]]]] = {}
+# A word longer than _JUMP letters first fills its prefix _JUMP letters
+# shorter, which the recursion reaches anyway: each cached call counts twice
+# against the recursion limit, so this keeps long words within it.
+_JUMP = 64
 
 
+@cache
 def _on_word(key: Key, w: str) -> Poly:
     if key is EMPTY_FOREST:
         return Poly._wrap({w: 1})
@@ -74,9 +79,8 @@ def _on_word(key: Key, w: str) -> Poly:
         if type(key) is Forest:
             return Poly.zero()
         return Poly._wrap({"": c for f, c in key if f is EMPTY_FOREST})
-    cached = _ON_WORD_CACHE.get((key, w))
-    if cached is not None:
-        return cached
+    if len(w) > _JUMP:
+        _on_word(key, w[:-_JUMP])
     v = w[:-1]
     if w[-1] == "y":
         # F(vy) = F(v)z - F(vx). The words ending in x cancel: their zeros
@@ -88,34 +92,29 @@ def _on_word(key: Key, w: str) -> Poly:
             acc[ux] = get(ux, 0) + c
             uy = u + "y"
             acc[uy] = get(uy, 0) + c
-        out = Poly(acc)
-    elif v:
+        return Poly(acc)
+    if v:
         # F(vx) = F(v)x + sum of f1(v) H_F[f1]
         acc = {u + "x": c for u, c in _on_word(key, v).terms.items()}
         for f1, h in _right_factors(key):
             left = _on_word(f1, v).terms
             if left:
                 add_concat_into(acc, left, h)
-        out = Poly(acc)
-    elif type(key) is not Forest:
-        out = Poly(linear(dict(key), lambda f: _on_word(f, "x").terms))
-    elif len(key.trees) == 1:
+        return Poly(acc)
+    if type(key) is not Forest:
+        return Poly(linear(dict(key), lambda f: _on_word(f, "x").terms))
+    if len(key.trees) == 1:
         t = key.trees[0]
-        out = _XY if t is LEAF else op_R(_on_word(t.child_forest(), "x"))
-    else:
-        # composition: first canonical tree applied after the rest
-        head, rest = key.trees[0], Forest(key.trees[1:])
-        # a compact copy: keys that cancel leave dead slots in the sum
-        out = Poly(_on_poly(head.as_forest(), _on_word(rest, "x")))
-    _ON_WORD_CACHE[(key, w)] = out
-    return out
+        return _XY if t is LEAF else op_R(_on_word(t.child_forest(), "x"))
+    # composition: first canonical tree applied after the rest
+    head, rest = key.trees[0], Forest(key.trees[1:])
+    # a compact copy: keys that cancel leave dead slots in the sum
+    return Poly(_on_poly(head.as_forest(), _on_word(rest, "x")))
 
 
+@cache
 def _right_factors(key: Key) -> list[tuple[Forest, dict[str, Scalar]]]:
     """The nonzero groups (f1, H[f1]) of the coproduct of ``key``."""
-    cached = _RIGHT_FACTORS.get(key)
-    if cached is not None:
-        return cached
     if type(key) is Forest:
         delta = _forest_coproduct(key)
     else:
@@ -125,8 +124,7 @@ def _right_factors(key: Key) -> list[tuple[Forest, dict[str, Scalar]]]:
         if f2 is not EMPTY_FOREST:
             add_into(groups.setdefault(f1, {}), _on_word(f2, "x").terms, c)
     # compact copies: add_into deletes the keys that cancel
-    out = _RIGHT_FACTORS[key] = [(f1, dict(h)) for f1, h in groups.items() if h]
-    return out
+    return [(f1, dict(h)) for f1, h in groups.items() if h]
 
 
 def _on_poly(key: Key, p: Poly) -> dict[str, Scalar]:

@@ -11,7 +11,7 @@ from itertools import product
 from typing import Callable, Iterator
 
 from .diamond import diamond, sigma, sigma_forest
-from .hopf import HElem, coproduct
+from .hopf import HElem, coproduct, print_tensor
 from .lincomb import add_into
 from .linalg import basis_forests, basis_matrix, check_mod2_invertible, sigma_kernel
 from .relations import verify_fmn
@@ -43,8 +43,6 @@ def _check_coproduct_goldens(max_degree: int) -> bool:
         "[] []": "([] [] (x) 1) + 2*([] (x) []) + (1 (x) [] [])",
         "[[][]]": "([[][]] (x) 1) + ([] [] (x) []) + 2*([] (x) [[]]) + (1 (x) [[][]])",
     }
-    from .hopf import print_tensor
-
     return all(
         print_tensor(coproduct(HElem.from_forest(parse_forest(f)))) == expected
         for f, expected in cases.items()

@@ -12,7 +12,7 @@ tree, and the encoding is built only on a miss. ``Tree._pool`` and
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from typing import Iterable, Iterator
 
 
@@ -118,11 +118,11 @@ def forest_product(f: Forest, g: Forest) -> Forest:
     return Forest(f.trees + g.trees)
 
 
-def ladder(n: int) -> Forest:
-    """The chain with n vertices, as a forest; ladder(0) is the empty forest."""
+def ladder(n: int, f: Forest = EMPTY_FOREST) -> Forest:
+    """f wrapped in n successive graftings: by default the chain with n
+    vertices, as a forest; ladder(0, f) is f itself."""
     if n < 0:
         raise ValueError("ladder length must be >= 0")
-    f = EMPTY_FOREST
     for _ in range(n):
         f = bplus(f).as_forest()
     return f
@@ -172,7 +172,7 @@ def count_forests(n: int) -> int:
     return count_trees(n + 1)
 
 
-@lru_cache(maxsize=None)
+@cache
 def enumerate_trees(n: int) -> tuple[Tree, ...]:
     """All canonical trees with n vertices, in encoding order."""
     if n < 1:
@@ -184,7 +184,7 @@ def enumerate_trees(n: int) -> tuple[Tree, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@cache
 def enumerate_forests(n: int) -> tuple[Forest, ...]:
     """All canonical forests with n vertices, in encoding order."""
     if n < 0:

@@ -1,8 +1,9 @@
 import itertools
+import sys
 
 import pytest
 
-from treealg import enumerate_forests
+from treealg import enumerate_forests, hopf
 
 
 def all_words(max_len, include_empty=True):
@@ -10,6 +11,27 @@ def all_words(max_len, include_empty=True):
     for n in range(1, max_len + 1):
         words.extend("".join(p) for p in itertools.product("xy", repeat=n))
     return words
+
+
+def treealg_caches():
+    """Every cached function in the imported treealg modules, found by its
+    ``cache_clear`` attribute, once each (the package re-exports some)."""
+    return list({
+        id(obj): obj
+        for name, module in list(sys.modules.items())
+        if name == "treealg" or name.startswith("treealg.")
+        for obj in vars(module).values()
+        if hasattr(obj, "cache_clear")
+    }.values())
+
+
+def clear_caches():
+    """Empty every memo of treealg: each cached function and the coproduct
+    table ``hopf._FOREST_DELTA``, which its worklist fills directly.
+    ``Tree._pool`` and ``Forest._pool`` hold identity and are never cleared."""
+    for fn in treealg_caches():
+        fn.cache_clear()
+    hopf._FOREST_DELTA.clear()
 
 
 def forests_up_to(max_degree, include_empty=True):

@@ -15,23 +15,27 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from treealg import hopf, relations, rtm
+from treealg import hopf
 from treealg import (
     EMPTY_FOREST,
     HElem,
     LEAF,
     Poly,
+    basis_forests,
     bplus,
     build_fmn,
     coproduct,
     diamond,
+    enumerate_forests,
     forest_product,
+    parse_forest,
     rtm_apply,
     sigma,
     sigma_kernel,
+    verify_fmn,
 )
 
-from conftest import all_words, forests_up_to
+from conftest import all_words, clear_caches, forests_up_to, treealg_caches
 
 # the package attribute treealg.diamond is the function, not the module
 diamond_module = importlib.import_module("treealg.diamond")
@@ -341,19 +345,6 @@ class TestZIdentity:
         )
 
 
-def _clear_memos():
-    tables = (
-        diamond_module._DIAMOND_CACHE,
-        diamond_module._SIGMA_FOREST,
-        rtm._ON_WORD_CACHE,
-        rtm._RIGHT_FACTORS,
-        hopf._FOREST_DELTA,
-        relations._WORD_ROUTE,
-    )
-    for table in tables:
-        table.clear()
-
-
 class TestColdAndWarm:
     """rtm_apply, sigma and coproduct against the reference from empty memo
     tables, then again from the tables the first call filled: an entry that
@@ -368,7 +359,7 @@ class TestColdAndWarm:
     @example(HElem({bplus(LEAF.as_forest()).as_forest(): 1}), Poly({"xyxyy": 1}))
     def test_rtm_apply(self, f, w):
         expected = ref_rtm_apply(f.terms, w.terms)
-        _clear_memos()
+        clear_caches()
         # the first call runs cold, the second from the filled tables
         _assert_matches(rtm_apply, (f, w), expected)
 
@@ -382,27 +373,50 @@ class TestColdAndWarm:
         v, w = vw
         expected, flipped = ref_diamond(v.terms, w.terms), ref_diamond(w.terms, v.terms)
         assert flipped == expected
-        _clear_memos()
+        clear_caches()
         _assert_matches(diamond, (v, w), expected)
         _assert_matches(diamond, (w, v), flipped)
 
+    def test_clear_caches_empties_every_memo(self):
+        verify_fmn(2, 3)
+        rtm_apply(build_fmn(2, 2), Poly.from_word("xyx"))
+        basis_forests(4)
+        enumerate_forests(3)
+        names = {fn.__name__: fn for fn in treealg_caches()}
+        assert set(names) >= {
+            "_diamond_pair", "sigma_forest", "_on_word", "_right_factors", "_ladder_poly",
+            "_pieces", "enumerate_trees", "enumerate_forests", "basis_forests",
+        }
+        assert all(fn.cache_info().currsize for fn in names.values())
+        assert hopf._FOREST_DELTA
+        clear_caches()
+        assert all(fn.cache_info().currsize == 0 for fn in treealg_caches())
+        assert not hopf._FOREST_DELTA
+        # the pools of interned trees and forests are kept
+        assert parse_forest("[]").trees[0] is LEAF
+
     def test_one_diamond_memo_entry_per_unordered_pair(self):
-        # the longer word first, words of one length in string order
-        _clear_memos()
+        # every pair of nonempty words up to length 4 in one order: the
+        # recursion stays inside the pool, so each unordered pair is one entry
+        clear_caches()
         pool = all_words(4, include_empty=False)
-        for a in pool:
-            for b in pool:
-                diamond(Poly.from_word(a), Poly.from_word(b))
-        keys = diamond_module._DIAMOND_CACHE.keys()
-        assert all((len(a), b) >= (len(b), a) for a, b in keys)
-        assert {frozenset(k) for k in keys} >= {frozenset((a, b)) for a in pool for b in pool}
+        pairs = [(a, b) for i, a in enumerate(pool) for b in pool[i:]]
+        for a, b in pairs:
+            diamond(Poly.from_word(a), Poly.from_word(b))
+        info = diamond_module._diamond_pair.cache_info()
+        assert info.currsize == len(pairs)
+        # the reverse-order calls add no entry and no miss
+        for a, b in pairs:
+            diamond(Poly.from_word(b), Poly.from_word(a))
+        after = diamond_module._diamond_pair.cache_info()
+        assert (after.currsize, after.misses) == (info.currsize, info.misses)
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(helems(), st.sampled_from(RELATIONS + sigma_kernel(4))))
     @example(HElem({bplus(forest_product(LEAF.as_forest(), LEAF.as_forest())).as_forest(): 1}))
     def test_sigma(self, a):
         expected = ref_sigma(a.terms)
-        _clear_memos()
+        clear_caches()
         _assert_matches(sigma, (a,), expected)
 
     @settings(max_examples=60, deadline=None)
@@ -410,7 +424,7 @@ class TestColdAndWarm:
     @example(HElem({forest_product(LEAF.as_forest(), bplus(LEAF.as_forest()).as_forest()): 1}))
     def test_coproduct(self, a):
         expected = ref_coproduct(a.terms)
-        _clear_memos()
+        clear_caches()
         _assert_matches(coproduct, (a,), expected)
 
 
@@ -466,5 +480,5 @@ class TestCombinationAsOneMap:
     @example(HElem({**build_fmn(1, 3).terms, LEAF_F: Fraction(1, 2)}), Poly({"xx": 1}))
     def test_cold_then_warm(self, f, w):
         expected = per_forest_sum(f, w)
-        _clear_memos()
+        clear_caches()
         _assert_matches(rtm_apply, (f, w), expected)

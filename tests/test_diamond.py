@@ -1,3 +1,4 @@
+import importlib
 import random
 
 from treealg import (
@@ -13,7 +14,10 @@ from treealg import (
 )
 from treealg.words import Poly, Y, Z
 
-from conftest import all_words
+from conftest import all_words, clear_caches
+
+# the package attribute treealg.diamond is the function, not the module
+diamond_module = importlib.import_module("treealg.diamond")
 
 
 def word(w):
@@ -99,6 +103,24 @@ class TestDiamondProduct:
             - diamond(word("y"), word("x"))
         )
         assert diamond(a, b) == expected
+
+
+class TestLongWords:
+    def test_word_of_length_800(self):
+        # x^n <> x = x^(n+1) - sum of x^k y x^(n-k) over 0 <= k < n; the
+        # recursion on the long word nests deeper than the cache wrappers
+        # allow unless long prefixes are filled first, which adds no entry:
+        # one per pair (x^k, x), 1 <= k <= n
+        n = 800
+        expected = {"x" * k + "y" + "x" * (n - k): -1 for k in range(n)}
+        expected["x" * (n + 1)] = 1
+        clear_caches()
+        try:
+            assert diamond(word("x" * n), word("x")).terms == expected
+            assert diamond(word("x"), word("x" * n)).terms == expected
+            assert diamond_module._diamond_pair.cache_info().currsize == n
+        finally:
+            clear_caches()
 
 
 class TestSigma:

@@ -18,6 +18,8 @@ from treealg import (
 from treealg.lincomb import add_into
 from treealg.words import ONE, Poly, Y
 
+from conftest import clear_caches
+
 relations = importlib.import_module("treealg.relations")
 
 
@@ -151,14 +153,24 @@ class TestWordRouteRightHandSide:
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (3, 2), (2, 5), (4, 4)])
     def test_cold_and_warm(self, m, n):
         expected = ref_r_identity_rhs(m, n).terms
-        relations._WORD_ROUTE.clear()
+        clear_caches()
         assert relations._r_identity_rhs(m, n).terms == expected
+        # the second call reads every piece from the cache
+        misses = relations._pieces.cache_info().misses
         assert relations._r_identity_rhs(m, n).terms == expected
+        assert relations._pieces.cache_info().misses == misses
         assert relations._r_identity_rhs(n, m).terms == ref_r_identity_rhs(n, m).terms
 
     def test_memo_keys_are_unordered_pairs(self):
-        relations._WORD_ROUTE.clear()
-        for m, n in [(2, 4), (4, 2), (3, 3)]:
-            assert verify_r_identity(m, n)
-        pairs = [k for k in relations._WORD_ROUTE if isinstance(k, tuple)]
-        assert pairs and all(i <= j for i, j in pairs)
+        # (2, 4) reads the pieces of {i, j} for i < 2, j < 4: seven
+        # unordered pairs, one entry each; (4, 2) reads the same seven
+        clear_caches()
+        assert verify_r_identity(2, 4)
+        info = relations._pieces.cache_info()
+        assert info.currsize == 7
+        assert verify_r_identity(4, 2)
+        after = relations._pieces.cache_info()
+        assert (after.currsize, after.misses) == (info.currsize, info.misses)
+        # (3, 3) adds only {2, 2}
+        assert verify_r_identity(3, 3)
+        assert relations._pieces.cache_info().currsize == 8

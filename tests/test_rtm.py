@@ -17,7 +17,7 @@ from treealg import (
 from treealg import rtm
 from treealg.words import Poly, X, Y, Z
 
-from conftest import all_words, forests_up_to
+from conftest import all_words, clear_caches, forests_up_to
 
 
 def on(forest_text, poly_text):
@@ -147,4 +147,20 @@ class TestRelationsAsOneMap:
         # factor sums to zero on x, so F(vx) = F(v)x
         f = build_fmn(2, 2)
         assert rtm_apply(f, Poly.from_word("xyx")).is_zero()
-        assert rtm._RIGHT_FACTORS[frozenset(f.terms.items())] == []
+        assert rtm._right_factors(frozenset(f.terms.items())) == []
+
+
+class TestLongWords:
+    def test_word_of_length_800(self):
+        # the leaf on x^n is the sum of x^k y x^(n-k) over 1 <= k <= n; the
+        # recursion on the word nests deeper than the cache wrappers allow
+        # unless long prefixes are filled first, which adds no entry: the
+        # leaf on x^k for 1 <= k <= n, the empty forest for 1 <= k < n
+        n = 800
+        expected = {"x" * k + "y" + "x" * (n - k): 1 for k in range(1, n + 1)}
+        clear_caches()
+        try:
+            assert on("[]", "x" * n).terms == expected
+            assert rtm._on_word.cache_info().currsize == 2 * n - 1
+        finally:
+            clear_caches()

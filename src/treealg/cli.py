@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
+from math import comb, prod
 
 from .hopf import HElem, coproduct, parse_helem, print_helem, print_tensor
 from .diamond import diamond, sigma
@@ -114,12 +116,28 @@ def _listing(args, count, enumerate_, key: str, cap: str) -> int:
 # "error: out of memory".
 MAX_OUTPUT_DEGREE = 16
 
-# The largest degree that the dense commands, kernel and decompose, accept:
-# both eliminate a matrix of sigma values against the 2^(d-1) words ending
-# in y. At the cap, kernel 9 takes 23 s and 73 MB and decompose of ladder(9)
-# 5.4 s and 44 MB; at d = 10 decompose takes 142 s and 139 MB and kernel
-# had not finished after 200 s (2-core x86-64 host, Python 3.11).
+# The largest degree that kernel accepts: it eliminates the matrix of sigma
+# values of all degree-d forests against the 2^(d-1) words ending in y. At
+# the cap, kernel 9 takes 23 s and 73 MB; at d = 10 it had not finished
+# after 200 s (2-core x86-64 host, Python 3.11).
 MAX_DENSE_DEGREE = 9
+
+# The largest degree that decompose accepts. It takes sigma of its input
+# first, and that, not the sparse solve (about 0.5 s at the cap), bounds
+# it. At the cap, the slowest of the products of ladders and leaves,
+# ladder(5) x 2 times [[[]]] or three leaves, takes 2.7-2.8 s and 450-480 MB;
+# at degree 14, ladder(6) x 2 [[]] takes 11.5 s and 1.9 GB (same host).
+MAX_DECOMPOSE_DEGREE = 13
+
+# The largest number of terms that coproduct expands, counted before any
+# merge by _coproduct_terms; its output grows with it, about 40 bytes of
+# text a term. Below the cap, the product of ladders 1..8 and [[]]
+# (725,760 terms) takes 5.0 s and 210 MB (5.9 s and 342 MB with --json);
+# above it, ladders 1..8 and [[][]] (1,451,520) take 9.7 s and 405 MB
+# (11.5 s and 632 MB), and ladders 1..9 (3,628,800) 16-26 s and 865 MB
+# (same host). Degree alone would not do: a 1200-deep ladder has only 1201
+# terms.
+MAX_COPRODUCT_TERMS = 1_000_000
 
 # The largest m + n that relation accepts, with or without --verify. At the
 # cap, the slowest pair, relation 6 7 --verify, takes 5.4 s and 643 MB;
@@ -149,8 +167,32 @@ def _check_degree(degree: int, cap: str = "MAX_OUTPUT_DEGREE", kind: str = "outp
         raise ValueError(f"{kind} {degree} is above the cap {cap} = {limit}")
 
 
+def _coproduct_terms(elem: HElem) -> int:
+    """The number of tensor terms that expanding the coproduct of ``elem``
+    makes: the sum over its forests of the product over their distinct trees
+    t, with multiplicity m, of C(|delta(t)| + m - 1, m), the multisets of m
+    terms of delta(t); |delta(bplus(f))| = 1 + |delta(f)|. Trees are sized
+    from a worklist, not the Python stack."""
+    size: dict = {}
+
+    def forest_size(trees) -> int:
+        return prod(comb(size[t] + m - 1, m) for t, m in Counter(trees).items())
+
+    todo = [t for f in elem.terms for t in f.trees]
+    while todo:
+        t = todo[-1]
+        missing = [c for c in t.children if c not in size]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        size[t] = 1 + forest_size(t.children)
+    return sum(forest_size(f.trees) for f in elem.terms)
+
+
 def _cmd_coproduct(args) -> int:
     elem = parse_helem(args.element)
+    _check_degree(_coproduct_terms(elem), "MAX_COPRODUCT_TERMS", "coproduct term count")
     result = coproduct(elem)
     text = print_tensor(result)
     _emit(
@@ -251,7 +293,7 @@ def _cmd_decompose(args) -> int:
     d = elem.homogeneous_degree()
     if d is None or d < 1:
         raise ValueError("element must be homogeneous of degree >= 1")
-    _check_degree(d, "MAX_DENSE_DEGREE", "degree")
+    _check_degree(d, "MAX_DECOMPOSE_DEGREE", "degree")
     coeffs = decompose(elem, d)
     lines = [
         f"{u.encoding}: {c}" for u, c in coeffs.items()

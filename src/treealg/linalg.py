@@ -9,6 +9,37 @@ entries. ``BitMatrix`` packs rows into Python ints for elimination over
 GF(2). On top of these sit the basis family (grown from the empty forest
 by grafting and by multiplying with the leaf), the change-of-basis matrix
 to the y-ending word basis, and per-degree kernel computation.
+
+``decompose`` builds no matrix of sigma values. V_d is spanned by the
+words of length d that end in y; R (``op_R``) and T = · ◇ y (``op_Y``) map
+V_(d-1) into V_d.
+
+- Lemma A. The degree-d basis family is {B+u} and {leaf·u} over u in the
+  degree-(d-1) family, with sigma(B+u) = R sigma(u) and sigma(leaf·u) =
+  y ◇ sigma(u) = T sigma(u). So t = sigma(f) is R(p) + T(q) for p, q in
+  V_(d-1): f's coefficients on B+u are those of p one degree down, and
+  on leaf·u those of q. At d = 1 the family is the leaf, and sigma of it y.
+- Lemma B. R(p) has p_uy at uxy and 2 p_uy at uyy, so q solves
+  K_dᵀ q = (t_uyy - 2 t_uxy)_u, where row v of K_d is
+  T(vy)_uyy - 2 T(vy)_uxy over the words u of length d-2; it has at most d
+  nonzeros. Then p_uy = t_uxy - T(q)_uxy.
+- Lemma C. Mod 2, T(w) = yw + Σ_i w_<i xy w_>i, so the row of K_d for
+  v = v'x is the unit vector at v, and the row for v = v'y restricted to
+  the columns ending in y is row v' of K_(d-1). Hence, with words ordered
+  by their number of trailing y's, K_d is unit triangular mod 2, and
+  det K_d is odd. ``_k_system`` checks this for every degree it builds
+  and raises ArithmeticError otherwise.
+
+Each K_d system is solved exactly by 2-adic (Dixon) lifting. Start from
+x = 0 and r = b. At step k, y solves K_dᵀ y = r mod 2, by substitution in
+the trailing-y order. Since b - K_dᵀ(x - 2^k y) = 2^k (r + K_dᵀ y), the
+symmetric residue x - 2^k y is the exact solution once r + K_dᵀ y = 0;
+otherwise x += 2^k y and r = (r - K_dᵀ y)/2. Small integer solutions, the
+usual case, stop within a few steps. If none is found within the Hadamard
+bound, the entries are rationals with odd denominators, which rational
+reconstruction recovers and an exact product checks. Every level checks
+R(p) + T(q) = t term by term. ``Fraction`` coefficients are scaled to
+integers by the lcm of their denominators, and divided once at the end.
 """
 from __future__ import annotations
 
@@ -16,11 +47,12 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import lcm
+from operator import add
 
 from .diamond import sigma, sigma_forest
 from .hopf import HElem
 from .trees import EMPTY_FOREST, Forest, LEAF, bplus, enumerate_forests, forest_product
-from .words import Poly
+from .words import Poly, op_Y
 
 
 def _echelon(entries: list[list[Fraction | int]]) -> tuple[list[list[int]], list[int], int]:
@@ -223,17 +255,152 @@ def check_mod2_invertible(d: int) -> bool:
     return basis_matrix(d).mod2().is_invertible()
 
 
+def _trailing_ys(u: int) -> int:
+    """The number of y's at the end of the word with index u (low bits)."""
+    return (u ^ (u + 1)).bit_length() - 1
+
+
+@cache
+def _t_rows(d: int) -> list[list[tuple[int, int]]]:
+    """Row v, d >= 2: T(vy) for the v-th word vy of V_(d-1), as (index in
+    V_d, coefficient) pairs."""
+    index = {w: i for i, w in enumerate(words_ending_in_y(d))}
+    return [
+        [(index[w], c) for w, c in op_Y(Poly._wrap({vy: 1})).terms.items()]
+        for vy in words_ending_in_y(d - 1)
+    ]
+
+
+@cache
+def _k_system(d: int):
+    """K_d, d >= 2, as (rows, odd, order, bits). Row v holds the nonzero
+    (u, entry) pairs of T(vy)_uyy - 2 T(vy)_uxy and odd[v] the columns u != v
+    of its odd entries; order lists the rows by trailing y's, most first;
+    the Hadamard bound of K_d is below 2^(bits/2). Raises ArithmeticError
+    unless K_d mod 2 is unit triangular in that order (Lemma C)."""
+    rows, odd, hadamard = [], [], 1
+    for v, t_row in enumerate(_t_rows(d)):
+        entries: dict[int, int] = {}
+        # the i-th word of V_d is uxy for even i and uyy for odd i, u the
+        # (i >> 1)-th word of length d - 2: word order is binary order
+        for i, c in t_row:
+            entries[i >> 1] = entries.get(i >> 1, 0) + (c if i & 1 else -2 * c)
+        rows.append([(u, e) for u, e in entries.items() if e])
+        odd.append([u for u, e in entries.items() if e & 1 and u != v])
+        hadamard *= sum(e * e for e in entries.values())
+        if not entries.get(v, 0) & 1 or any(
+            _trailing_ys(u) >= _trailing_ys(v) for u in odd[v]
+        ):
+            raise ArithmeticError(f"K_{d} is not unit triangular mod 2")
+    order = sorted(range(len(rows)), key=_trailing_ys, reverse=True)
+    return rows, odd, order, hadamard.bit_length()
+
+
+@cache
+def _slots(d: int) -> list[tuple[int, int]]:
+    """The positions of B+u and of leaf·u in ``basis_forests(d)``, d >= 2,
+    for each u in ``basis_forests(d - 1)`` (Lemma A)."""
+    pos = {f: i for i, f in enumerate(basis_forests(d))}
+    return [
+        (pos[bplus(u).as_forest()], pos[forest_product(LEAF.as_forest(), u)])
+        for u in basis_forests(d - 1)
+    ]
+
+
+def _combine(rows: list, coeffs: list[int], size: int) -> list[int]:
+    """Σ_v coeffs[v]·rows[v] as a dense vector, for sparse rows of
+    (index, entry) pairs."""
+    out = [0] * size
+    for row, c in zip(rows, coeffs):
+        if c:
+            for i, e in row:
+                out[i] += c * e
+    return out
+
+
+def _reconstruct(a: int, m: int, bound: int) -> Fraction:
+    """The fraction n/q ≡ a (mod m) with |n| <= bound, by the extended
+    Euclidean algorithm (rational reconstruction)."""
+    r0, r1, s0, s1 = m, a % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return Fraction(r1, s1)
+
+
+def _solve_k(d: int, b: list[int]) -> tuple[list[int], int]:
+    """(x, D) with K_dᵀ (x/D) = b exactly, by 2-adic lifting."""
+    k_rows, odd, order, hbits = _k_system(d)
+    n = len(b)
+    x, r = [0] * n, b
+    # |det K_d| < 2^dbits, and each numerator of Cramer's rule is below
+    # 2^dbits |b| < 2^nbits, where |b| <= sqrt(n) max|b_u|
+    dbits = (hbits + 1) // 2
+    nbits = dbits + (n.bit_length() + 1) // 2 + max(map(abs, b)).bit_length()
+    for k in range(nbits + dbits + 2):
+        # y = (K_dᵀ)⁻¹ r mod 2, by substitution in the trailing-y order
+        y, ys = [c & 1 for c in r], []
+        for v in order:
+            if y[v]:
+                ys.append(v)
+                for u in odd[v]:
+                    y[u] ^= 1
+        ky = [0] * n
+        for v in ys:
+            for u, e in k_rows[v]:
+                ky[u] += e
+        # b - K_dᵀ(x - 2^k y) = 2^k (r + K_dᵀ y): the symmetric residue
+        done = not any(map(add, r, ky))
+        for v in ys:
+            x[v] += -1 << k if done else 1 << k
+        if done:
+            return x, 1
+        r = [(a - c) >> 1 for a, c in zip(r, ky)]
+    # no integral solution within the bound: the entries are rationals
+    # with odd denominators below 2^dbits
+    sol = [_reconstruct(c, 2 << k, 1 << nbits) for c in x]
+    den = lcm(*(c.denominator for c in sol))
+    x = [c.numerator * (den // c.denominator) for c in sol]
+    if _combine(k_rows, x, n) != [den * c for c in b]:
+        raise ArithmeticError(f"no solution of the K_{d} system was found")
+    return x, den
+
+
+def _coords(t: list[int], d: int) -> tuple[list[int], int]:
+    """(c, D): the coordinates of t in V_d, an int vector over
+    ``words_ending_in_y(d)``, over ``basis_forests(d)`` are c/D."""
+    if d == 1 or not any(t):
+        return t, 1
+    q, den = _solve_k(d, [t[i + 1] - 2 * t[i] for i in range(0, len(t), 2)])
+    back = _combine(_t_rows(d), q, len(t))
+    p = [den * t[i] - back[i] for i in range(0, len(t), 2)]
+    for u, c in enumerate(p):
+        back[2 * u] += c
+        back[2 * u + 1] += 2 * c
+    if back != [den * c for c in t]:
+        raise ArithmeticError(f"degree {d}: R(p) + T(q) is not the target")
+    (a, da), (b, db) = _coords(p, d - 1), _coords(q, d - 1)
+    scale = lcm(da, db)
+    out = [0] * len(t)
+    for (graft, leaf), ca, cb in zip(_slots(d), a, b):
+        out[graft] = ca * (scale // da)
+        out[leaf] = cb * (scale // db)
+    return out, scale * den
+
+
 def decompose(f: HElem, d: int) -> dict[Forest, Fraction]:
     """Coefficients expressing f's polynomial value over the degree-d basis
-    family's values. Input must be d-homogeneous."""
+    family's values, in ``basis_forests(d)`` order. Input must be
+    d-homogeneous."""
     if d < 1:
         raise ValueError("degree must be >= 1")
     deg = f.homogeneous_degree()
     if deg is None or (not f.is_zero() and deg != d):
         raise ValueError(f"input is not {d}-homogeneous")
-    wbasis = words_ending_in_y(d)
-    sol = basis_matrix(d).transpose().solve(_word_coeffs(sigma(f), wbasis))
-    return dict(zip(basis_forests(d), sol))
+    target = _word_coeffs(sigma(f), words_ending_in_y(d))
+    den = lcm(*(c.denominator for c in target))
+    coords, scale = _coords([c.numerator * (den // c.denominator) for c in target], d)
+    return {u: Fraction(c, den * scale) for u, c in zip(basis_forests(d), coords)}
 
 
 def sigma_kernel(d: int) -> list[HElem]:

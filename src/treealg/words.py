@@ -85,6 +85,21 @@ def op_R(v: Poly) -> Poly:
     return Poly._wrap(out)
 
 
+def op_Y(v: Poly) -> Poly:
+    """The operator T = · ◇ y in closed form: each term c*w becomes
+    c*yw + Σ_i s_i c*w_<i xy w_>i, with s_i = 1 where w_i = x and -1 where
+    w_i = y. (The diamond recursion with right factor y gives T(1) = y and
+    T(vp) = T(v)p + s_p vxy, which unrolls to this.)"""
+    out: dict[str, Scalar] = {}
+    get = out.get
+    for w, c in v.terms.items():
+        out["y" + w] = get("y" + w, 0) + c
+        for i, a in enumerate(w):
+            k = w[:i] + "xy" + w[i + 1:]
+            out[k] = get(k, 0) + (c if a == "x" else -c)
+    return Poly(out)
+
+
 def op_R_pow(k: int, v: Poly) -> Poly:
     for _ in range(k):
         v = op_R(v)

@@ -25,6 +25,7 @@ from treealg import (
     bplus,
     build_fmn,
     coproduct,
+    decompose,
     diamond,
     enumerate_forests,
     forest_product,
@@ -382,10 +383,11 @@ class TestColdAndWarm:
         rtm_apply(build_fmn(2, 2), Poly.from_word("xyx"))
         basis_forests(4)
         enumerate_forests(3)
+        decompose(HElem.from_forest(parse_forest("[] [[]]")), 3)
         names = {fn.__name__: fn for fn in treealg_caches()}
         assert set(names) >= {
             "_diamond_pair", "sigma_forest", "_on_word", "_right_factors", "_ladder_poly",
-            "_pieces", "enumerate_trees", "enumerate_forests", "basis_forests",
+            "_pieces", "enumerate_trees", "enumerate_forests", "basis_forests", "_k_system",
         }
         assert all(fn.cache_info().currsize for fn in names.values())
         assert hopf._FOREST_DELTA

@@ -10,7 +10,7 @@ import pytest
 
 import treealg
 from treealg import cli, selfcheck
-from treealg.cli import MAX_DENSE_DEGREE, MAX_OUTPUT_DEGREE, run
+from treealg.cli import MAX_DECOMPOSE_DEGREE, MAX_DENSE_DEGREE, MAX_OUTPUT_DEGREE, run
 
 # Exact stdout, text and --json, of one command per algebra subcommand: any
 # refactor of the combination classes or their printers must keep it.
@@ -279,19 +279,30 @@ class TestErrors:
             (("decompose", "[" * 1200 + "]" * 1200), 1200),
             (("kernel", "12"), 12),
             (("kernel", str(MAX_DENSE_DEGREE + 1)), MAX_DENSE_DEGREE + 1),
-            (("decompose", " ".join(["[]"] * (MAX_DENSE_DEGREE + 1))), MAX_DENSE_DEGREE + 1),
+            (("decompose", " ".join(["[]"] * (MAX_DECOMPOSE_DEGREE + 1))),
+             MAX_DECOMPOSE_DEGREE + 1),
             (("--json", "kernel", "1000"), 1000),
         ],
     )
     def test_dense_degree_above_cap(self, capsys, argv, degree):
+        cap = "MAX_DECOMPOSE_DEGREE" if "decompose" in argv else "MAX_DENSE_DEGREE"
         start = time.perf_counter()
         code, out, err = invoke(capsys, *argv)
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
-        assert err == (
-            f"error: degree {degree} is above the cap "
-            f"MAX_DENSE_DEGREE = {MAX_DENSE_DEGREE}\n"
-        )
+        assert err == f"error: degree {degree} is above the cap {cap} = {getattr(cli, cap)}\n"
+
+    def test_decompose_cap_within_output_cap(self):
+        # decompose takes sigma of its input first
+        assert MAX_DENSE_DEGREE < MAX_DECOMPOSE_DEGREE <= MAX_OUTPUT_DEGREE
+
+    def test_decompose_at_cap_accepted(self, capsys):
+        code, out, err = invoke(capsys, "decompose", " ".join(["[]"] * MAX_DECOMPOSE_DEGREE))
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 2 ** (MAX_DECOMPOSE_DEGREE - 1)
+        assert lines.count("[] " * (MAX_DECOMPOSE_DEGREE - 1) + "[]: 1") == 1
+        assert sum(line.endswith(": 0") for line in lines) == len(lines) - 1
 
     def test_out_of_memory_exits_2(self):
         # degree 16, at the cap; the address-space limit is set on the child
@@ -329,6 +340,9 @@ class TestErrors:
             (("basis", str(cli.MAX_BASIS_MATRIX_DEGREE + 1), "--check-mod2"), "degree",
              cli.MAX_BASIS_MATRIX_DEGREE + 1, "MAX_BASIS_MATRIX_DEGREE"),
             (("basis", "30", "--matrix"), "degree", 30, "MAX_BASIS_MATRIX_DEGREE"),
+            # the product of ladders 1..9, 98 characters: 10! terms
+            (("coproduct", " ".join("[" * k + "]" * k for k in range(1, 10))),
+             "coproduct term count", 3628800, "MAX_COPRODUCT_TERMS"),
         ],
     )
     def test_budget_above_cap(self, argv, kind, degree, cap):
@@ -366,6 +380,32 @@ class TestErrors:
         code, _, err = invoke(capsys, "apply", "[]", "x - 5/ 0y")
         assert code == 2
         assert "zero denominator (at position 7)" in err
+
+
+class TestCoproductBudget:
+    def test_bounds_the_expanded_terms(self):
+        forests = [f for d in range(6) for f in treealg.enumerate_forests(d)]
+        for f in forests:
+            elem = treealg.HElem.from_forest(f)
+            assert cli._coproduct_terms(elem) >= len(treealg.coproduct(elem).terms)
+        pairs = treealg.HElem({forests[7]: 2, forests[30]: -1})
+        assert cli._coproduct_terms(pairs) == sum(
+            cli._coproduct_terms(treealg.HElem.from_forest(f)) for f in pairs.terms
+        )
+
+    def test_products_of_distinct_trees_multiply(self):
+        ladders = " ".join("[" * k + "]" * k for k in range(1, 10))
+        assert cli._coproduct_terms(treealg.parse_helem(ladders)) == 3628800
+        # no recursion into the Python stack
+        deep = treealg.parse_helem("[" * 1200 + "]" * 1200)
+        assert cli._coproduct_terms(deep) == 1201
+
+    def test_repeated_trees_count_multisets(self, capsys):
+        leaves = " ".join(["[]"] * 40)
+        assert cli._coproduct_terms(treealg.parse_helem(leaves)) == 41
+        code, out, err = invoke(capsys, "coproduct", leaves)
+        assert (code, err) == (0, "")
+        assert out.count("(x)") == 41
 
 
 class TestDeterminism:

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from treealg import linalg
 from treealg import (
     BitMatrix,
     HElem,
@@ -339,6 +341,81 @@ class TestDecompose:
         )
         with pytest.raises(ValueError):
             decompose(mixed, 2)
+
+
+def dense_decompose(f, d):
+    """The dense reference: the transposed basis matrix solved for sigma(f)."""
+    target = sigma(f).terms
+    rhs = [target.get(w, 0) for w in words_ending_in_y(d)]
+    return dict(zip(basis_forests(d), basis_matrix(d).transpose().solve(rhs)))
+
+
+@st.composite
+def homogeneous_combinations(draw, max_degree=8):
+    """(f, d): up to four degree-d forests with int, Fraction or mixed
+    coefficients."""
+    d = draw(st.integers(1, max_degree))
+    coeff = draw(st.sampled_from([small_ints, st.fractions(max_denominator=6), small_rationals]))
+    pool = enumerate_forests(d)
+    terms = draw(st.lists(st.tuples(st.sampled_from(pool), coeff), max_size=4))
+    return HElem(dict(terms)), d
+
+
+class TestDecomposeAgainstDense:
+    @settings(max_examples=40, deadline=None)
+    @given(homogeneous_combinations())
+    def test_equal_fractions_in_basis_order(self, case):
+        f, d = case
+        coeffs = decompose(f, d)
+        expected = dense_decompose(f, d)
+        assert list(coeffs.items()) == list(expected.items())
+        assert all(type(c) is Fraction for c in coeffs.values())
+
+    def test_zero_relation(self):
+        coeffs = decompose(build_fmn(2, 2), 4)
+        assert list(coeffs.items()) == list(dense_decompose(build_fmn(2, 2), 4).items())
+
+    def test_round_trip_at_ten(self):
+        forests = enumerate_forests(10)
+        target = HElem({forests[5]: 3, forests[200]: Fraction(-1, 2), forests[700]: 1})
+        coeffs = decompose(target, 10)
+        assert list(coeffs) == list(basis_forests(10))
+        assert sigma(HElem(coeffs)) == sigma(target)
+
+    def test_rational_coordinates_of_a_word_vector(self):
+        # xy is not sigma of an integer combination: 3 xy = sigma([[]] - 2 [] [])
+        assert linalg._coords([1, 0], 2) == ([1, -2], 3)
+        rng = random.Random(5)
+        for d in range(2, 7):
+            t = [rng.randint(-3, 3) for _ in range(2 ** (d - 1))]
+            coords, den = linalg._coords(t, d)
+            expected = basis_matrix(d).transpose().solve(t)
+            assert [Fraction(c, den) for c in coords] == expected
+
+    def test_reconstructed_solution_is_checked(self, monkeypatch):
+        # K_2 = (3), so q = -2/3 comes from rational reconstruction
+        monkeypatch.setattr(linalg, "_reconstruct", lambda a, m, bound: Fraction(0))
+        with pytest.raises(ArithmeticError, match="no solution of the K_2 system"):
+            linalg._coords([1, 0], 2)
+
+    def test_singular_mod_2_raises(self, monkeypatch):
+        # doubling T makes every entry of K_d even
+        t_rows = linalg._t_rows
+        monkeypatch.setattr(
+            linalg, "_t_rows", lambda d: [[(i, 2 * c) for i, c in row] for row in t_rows(d)]
+        )
+        linalg._k_system.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match="K_3 is not unit triangular mod 2"):
+                decompose(HElem.from_forest(ladder(3)), 3)
+        finally:
+            linalg._k_system.cache_clear()
+
+    def test_every_level_is_checked(self, monkeypatch):
+        # q = 0 is wrong for leaf * [[]]: T(sigma([[]])) is not in the image of R
+        monkeypatch.setattr(linalg, "_solve_k", lambda d, b: ([0] * len(b), 1))
+        with pytest.raises(ArithmeticError, match="degree 3: R"):
+            decompose(HElem.from_forest(parse_forest("[] [[]]")), 3)
 
 
 class TestKernel:

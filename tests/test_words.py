@@ -5,11 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import all_words
+
 from treealg import (
     Poly,
     PolySyntaxError,
+    diamond,
     op_R,
     op_R_pow,
+    op_Y,
     parse_poly,
     print_poly,
     strip_y,
@@ -113,6 +117,35 @@ class TestRightOperators:
             out = op_R(Poly.from_word(w))
             assert all(u.endswith("y") for u in out.terms)
             assert out.homogeneous_degree() == len(w) + 1
+
+    def test_op_Y_examples(self):
+        assert op_Y(Poly.one()) == parse_poly("y")
+        assert op_Y(parse_poly("y")) == parse_poly("yy - xy")
+        assert op_Y(parse_poly("x")) == parse_poly("yx + xy")
+
+    def test_op_Y_is_diamond_with_y_on_every_short_word(self):
+        y = Poly.from_word("y")
+        for w in all_words(8):
+            out = op_Y(Poly.from_word(w))
+            assert out == diamond(Poly.from_word(w), y), w
+            assert len(out.terms) == len(w) + 1
+
+    @given(
+        st.dictionaries(
+            st.text(alphabet="xy", max_size=6),
+            st.one_of(st.integers(-4, 4), st.fractions(max_denominator=4)),
+            max_size=5,
+        ).map(Poly)
+    )
+    def test_op_Y_is_diamond_with_y(self, v):
+        expected = diamond(v, Poly.from_word("y"))
+        out = op_Y(v)
+        assert out.terms == expected.terms
+        if len({type(c) for c in v.terms.values()}) == 1:
+            # one coefficient type in, the same type out, as the diamond
+            assert {w: type(c) for w, c in out.terms.items()} == {
+                w: type(c) for w, c in expected.terms.items()
+            }
 
 
 class TestDegrees:

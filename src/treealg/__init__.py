@@ -27,11 +27,9 @@ from .words import (
     Poly,
     PolySyntaxError,
     op_R,
-    op_R_pow,
     op_Y,
     parse_poly,
     print_poly,
-    strip_y,
 )
 from .diamond import diamond, sigma, sigma_forest
 from .rtm import rho_is_zero_on_x, rtm_apply
@@ -70,11 +68,9 @@ __all__ = [
     "Poly",
     "PolySyntaxError",
     "op_R",
-    "op_R_pow",
     "op_Y",
     "parse_poly",
     "print_poly",
-    "strip_y",
     "diamond",
     "sigma",
     "sigma_forest",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from collections import Counter
 from math import comb, prod
@@ -383,6 +384,10 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    # a reader that closes the pipe early (``| head``) ends the process
+    # quietly, as it does any filter; exit 1 means a failed verification
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

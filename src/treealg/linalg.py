@@ -127,9 +127,6 @@ class RationalMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix([list(col) for col in zip(*self.entries)] if self.entries else [])
-
     def rref(self) -> tuple["RationalMatrix", list[int]]:
         """Reduced row-echelon form and the pivot column indices."""
         m, pivots, d = _echelon(self.entries)

@@ -62,16 +62,6 @@ ONE = Poly.one()
 Z = X + Y
 
 
-def strip_y(v: Poly) -> Poly:
-    """The inverse of R_y: remove the final y from every word."""
-    out: dict[str, Scalar] = {}
-    for w, c in v.terms.items():
-        if not w.endswith("y"):
-            raise ValueError(f"term {w or '1'!r} does not end in y")
-        out[w[:-1]] = c
-    return Poly._wrap(out)
-
-
 def op_R(v: Poly) -> Poly:
     """The degree-raising operator R_y R_{x+2y} R_y^{-1}: each term c*uy
     becomes c*uxy + 2c*uyy. The images of distinct terms are distinct."""
@@ -98,12 +88,6 @@ def op_Y(v: Poly) -> Poly:
             k = w[:i] + "xy" + w[i + 1:]
             out[k] = get(k, 0) + (c if a == "x" else -c)
     return Poly(out)
-
-
-def op_R_pow(k: int, v: Poly) -> Poly:
-    for _ in range(k):
-        v = op_R(v)
-    return v
 
 
 def _poly_term(w: str, mag: Scalar) -> str:

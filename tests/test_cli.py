@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import treealg
 from treealg import cli, selfcheck
@@ -129,16 +133,19 @@ class TestGoldenOutput:
         assert err == ""
 
 
-def _run_module(*argv, preexec_fn=None):
-    """``python -m treealg *argv`` in a fresh interpreter."""
+def _module_env():
     src = str(Path(treealg.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def _run_module(*argv, preexec_fn=None):
+    """``python -m treealg *argv`` in a fresh interpreter."""
     return subprocess.run(
         [sys.executable, "-m", "treealg", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=_module_env(),
         timeout=60,
         preexec_fn=preexec_fn,
     )
@@ -150,6 +157,25 @@ class TestModuleEntryPoint:
         assert done.returncode == 0
         assert done.stdout == "xy + 2yy\n"
         assert done.stderr == ""
+
+    def test_reader_closing_the_pipe_early(self):
+        # trees 12 prints about 110 kB, more than a pipe holds, so the
+        # process is still writing when its reader goes away (| head -1)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "treealg", "trees", "12"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_module_env(),
+        )
+        assert proc.stdout.readline() == b"[[[[[[[[[[[[]]]]]]]]]]]]\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+        assert err == b""
+        assert code != 1
+        if hasattr(signal, "SIGPIPE"):
+            assert code == -signal.SIGPIPE
 
 
 class TestRelationCommand:
@@ -450,8 +476,70 @@ class TestSelfcheck:
         assert out.splitlines()[-1] == "selfcheck passed"
         assert max(pairs) == 9
 
+    @staticmethod
+    def _mismatch(max_degree):
+        yield "the only case", 1, 2
+
+    @staticmethod
+    def _mismatch_then_raise(max_degree):
+        yield "the first case", "got", "want"
+        raise AssertionError("the check ran past its first mismatch")
+
+    @pytest.mark.parametrize("check", [_mismatch, _mismatch_then_raise])
+    def test_a_mismatch_fails_the_check(self, capsys, monkeypatch, check):
+        monkeypatch.setattr(
+            selfcheck, "CHECKS", (("tree-counts", selfcheck._check_tree_counts), ("broken", check))
+        )
+        code, out, err = invoke(capsys, "selfcheck")
+        assert (code, err) == (1, "")
+        assert out.splitlines() == ["ok   tree-counts", "FAIL broken", "selfcheck FAILED"]
+        code, out, err = invoke(capsys, "--json", "selfcheck")
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert payload["checks"] == {"tree-counts": True, "broken": False}
+        assert payload["passed"] is False
+
     def test_rejects_negative_max_degree(self, capsys):
         code, out, err = invoke(capsys, "selfcheck", "--max-degree", "-3")
         assert code == 2
         assert out == ""
         assert "--max-degree must be >= 0" in err
+
+
+# Text arguments are short strings over the characters of forests and
+# polynomials and a few that belong to neither; numeric ones are small, so
+# that every accepted command finishes quickly.
+_TEXT = st.text(alphabet="[] xy+-*/0123456789()az", max_size=12)
+_NUMBER = st.integers(-3, 5).map(str)
+_COMMANDS = {
+    "sigma": ([_TEXT], []),
+    "apply": ([_TEXT, _TEXT], []),
+    "diamond": ([_TEXT, _TEXT], []),
+    "coproduct": ([_TEXT], []),
+    "decompose": ([_TEXT], []),
+    "trees": ([_NUMBER], ["--count-only"]),
+    "forests": ([_NUMBER], ["--count-only"]),
+    "basis": ([_NUMBER], ["--matrix", "--check-mod2"]),
+    "kernel": ([_NUMBER], []),
+    "relation": ([_NUMBER, _NUMBER], []),
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    positional, flags = _COMMANDS[command]
+    argv = ["--json"] if draw(st.booleans()) else []
+    argv += [command, *(draw(arg) for arg in positional)]
+    return argv + [flag for flag in flags if draw(st.booleans())]
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_argvs())
+    def test_every_input_succeeds_or_exits_two(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert "Traceback" not in err.getvalue()
+        assert code in (0, 2), (argv, err.getvalue())

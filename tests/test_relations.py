@@ -7,7 +7,6 @@ from treealg import (
     build_fmn,
     diamond,
     op_R,
-    op_R_pow,
     parse_helem,
     print_helem,
     sigma,
@@ -118,8 +117,14 @@ class TestVerification:
 # --- the word route's right-hand side, term by term --------------------------
 
 
+def _ref_op_R_pow(k, v):
+    for _ in range(k):
+        v = op_R(v)
+    return v
+
+
 def _ref_ladder_poly(k):
-    return ONE if k == 0 else op_R_pow(k - 1, Y)
+    return ONE if k == 0 else _ref_op_R_pow(k - 1, Y)
 
 
 def _ref_r_hat(p):
@@ -133,9 +138,9 @@ def ref_r_identity_rhs(m, n):
     for i in range(m):
         for j in range(n):
             inner = diamond(_ref_ladder_poly(i), _ref_ladder_poly(j))
-            add_into(rhs, op_R_pow(m - i + n - j - 2, diamond(Y, _ref_r_hat(inner))).terms)
+            add_into(rhs, _ref_op_R_pow(m - i + n - j - 2, diamond(Y, _ref_r_hat(inner))).terms)
             if (i, j) != (0, 0):
-                add_into(rhs, op_R_pow(m - i + n - j - 1, diamond(Y, inner)).terms, -1)
+                add_into(rhs, _ref_op_R_pow(m - i + n - j - 1, diamond(Y, inner)).terms, -1)
     return Poly._wrap(rhs)
 
 

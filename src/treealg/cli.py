@@ -331,21 +331,22 @@ def _cmd_selfcheck(args) -> int:
     if args.max_degree < 0:
         raise ValueError("--max-degree must be >= 0")
     results = list(run_selfcheck(args.max_degree))
-    lines = [
-        f"{'ok  ' if ok else 'FAIL'} {name}" for name, ok in results
-    ]
-    all_ok = all(ok for _, ok in results)
-    lines.append("selfcheck passed" if all_ok else "selfcheck FAILED")
-    _emit(
-        args,
-        lines,
-        {
-            "max_degree": args.max_degree,
-            "checks": {name: ok for name, ok in results},
-            "passed": all_ok,
-        },
-    )
-    return 0 if all_ok else 1
+    lines = [f"{'FAIL' if w else 'ok  '} {name}" for name, w in results]
+    witnesses = {
+        name: dict(zip(("case", "got", "want"), map(repr, w))) for name, w in results if w
+    }
+    for name, w in witnesses.items():
+        print(f"FAIL {name}: case {w['case']} got {w['got']} want {w['want']}", file=sys.stderr)
+    lines.append("selfcheck FAILED" if witnesses else "selfcheck passed")
+    payload = {
+        "max_degree": args.max_degree,
+        "checks": {name: not w for name, w in results},
+        "passed": not witnesses,
+    }
+    if witnesses:
+        payload["witnesses"] = witnesses
+    _emit(args, lines, payload)
+    return 1 if witnesses else 0
 
 
 _DISPATCH = {

@@ -2,13 +2,17 @@
 
 ``RationalMatrix`` is a dense exact matrix over Q that keeps its entries
 as given: an ``int`` stays an ``int``, anything else becomes a
-``Fraction``. Every method reads its result off one echelon form, found by
-fraction-free elimination over the integers (Bareiss), through one
-fraction-free back-substitution; every result is exact, in ``Fraction``
-entries. ``BitMatrix`` packs rows into Python ints for elimination over
-GF(2). On top of these sit the basis family (grown from the empty forest
-by grafting and by multiplying with the leaf), the change-of-basis matrix
-to the y-ending word basis, and per-degree kernel computation.
+``Fraction``. Its rows are scaled to integers by the lcm of their
+denominators. ``rank`` first takes the rank of their parities over GF(2):
+that is never above the rank over Q, and when it is full some maximal
+minor is odd, hence nonzero, so it is the rank over Q. Otherwise ``rank``,
+like ``nullspace``, reads its result off one echelon form, found by
+fraction-free elimination over the integers (Bareiss); the kernel comes
+out exact, in ``Fraction`` entries. ``BitMatrix`` packs rows into Python
+ints for elimination over GF(2). On top of these sit the basis family
+(grown from the empty forest by grafting and by multiplying with the
+leaf), the change-of-basis matrix to the y-ending word basis, and
+per-degree kernel computation.
 
 ``decompose`` builds no matrix of sigma values. V_d is spanned by the
 words of length d that end in y; R (``op_R``) and T = · ◇ y (``op_Y``) map
@@ -55,22 +59,32 @@ from .trees import EMPTY_FOREST, Forest, LEAF, bplus, enumerate_forests, forest_
 from .words import Poly, op_Y
 
 
-def _echelon(entries: list[list[Fraction | int]]) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free forward elimination (Bareiss) over the integers.
-
-    An all-int row is taken as is; any other row is scaled by the lcm of its
+def _integer_rows(entries: list[list[Fraction | int]]) -> list[list[int]]:
+    """An all-int row as is; any other row scaled by the lcm of its
     denominators, which changes neither the rank, the pivots nor the
-    solutions. Each row below a pivot becomes
-    ``(p·row − row[c]·pivot_row) // prev``, exact by Sylvester's identity.
-    Returns the integer rows, the pivot columns and the last pivot D (D = 1
-    when there is no pivot).
-    """
-    m = []
+    kernel."""
+    out = []
     for row in entries:
         if not all(type(e) is int for e in row):
             scale = lcm(*(e.denominator for e in row))
             row = [e.numerator * (scale // e.denominator) for e in row]
-        m.append(row)
+        out.append(row)
+    return out
+
+
+def _parities(rows: list[list[int]], cols: int) -> "BitMatrix":
+    return BitMatrix([sum(1 << c for c, e in enumerate(row) if e & 1) for row in rows], cols)
+
+
+def _echelon(entries: list[list[Fraction | int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free forward elimination (Bareiss) over the integers, of
+    ``entries`` scaled to ``_integer_rows``.
+
+    Each row below a pivot becomes ``(p·row − row[c]·pivot_row) // prev``,
+    exact by Sylvester's identity. Returns the integer rows, the pivot
+    columns and the last pivot D (D = 1 when there is no pivot).
+    """
+    m = _integer_rows(entries)
     pivots: list[int] = []
     prev = 1
     r = 0
@@ -127,32 +141,14 @@ class RationalMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def rref(self) -> tuple["RationalMatrix", list[int]]:
-        """Reduced row-echelon form and the pivot column indices."""
-        m, pivots, d = _echelon(self.entries)
-        columns = [_back_substitute(m, pivots, d, c) for c in range(self.cols)]
-        rows = [[Fraction(x, d) for x in row] for row in zip(*columns)]
-        rows += [[Fraction(0)] * self.cols for _ in range(self.rows - len(pivots))]
-        return RationalMatrix(rows), pivots
-
     def rank(self) -> int:
-        return len(_echelon(self.entries)[1])
-
-    def solve(self, rhs: list[Fraction | int]) -> list[Fraction]:
-        """Solve A v = rhs; requires a unique solution.
-
-        The augmented system is brought to echelon form, and its last
-        column is back-substituted to D·v."""
-        if len(rhs) != self.rows:
-            raise ValueError("right-hand side length mismatch")
-        n = self.cols
-        augmented = RationalMatrix([row + [b] for row, b in zip(self.entries, rhs)])
-        m, pivots, d = _echelon(augmented.entries)
-        if n in pivots:
-            raise ValueError("inconsistent system")
-        if len(pivots) != n:
-            raise ValueError("system is underdetermined")
-        return [Fraction(v, d) for v in _back_substitute(m, pivots, d, n)]
+        """The rank over Q: certified by a full rank of the parities over
+        GF(2) when it is one, else the number of Bareiss pivots."""
+        rows = _integer_rows(self.entries)
+        full = min(self.rows, self.cols)
+        if _parities(rows, self.cols).rank() == full:
+            return full
+        return len(_echelon(rows)[1])
 
     def nullspace(self) -> list[list[Fraction]]:
         """Basis of the right kernel, one vector per free column, in
@@ -169,12 +165,9 @@ class RationalMatrix:
         return basis
 
     def mod2(self) -> "BitMatrix":
-        rows = []
-        for row in self.entries:
-            if any(e.denominator != 1 for e in row):
-                raise ValueError("entry is not an integer")
-            rows.append(sum(1 << c for c, e in enumerate(row) if e.numerator % 2))
-        return BitMatrix(rows, self.cols)
+        if any(e.denominator != 1 for row in self.entries for e in row):
+            raise ValueError("entry is not an integer")
+        return _parities(_integer_rows(self.entries), self.cols)
 
 
 class BitMatrix:
@@ -248,7 +241,8 @@ def check_mod2_invertible(d: int) -> bool:
     """True if the integer basis matrix is invertible over GF(2).
 
     This implies full rank over Q: the determinant is an integer that is
-    odd, hence nonzero."""
+    odd, hence nonzero. ``RationalMatrix.rank`` certifies a full rank by
+    the same argument."""
     return basis_matrix(d).mod2().is_invertible()
 
 

@@ -4,7 +4,8 @@ Each check is a generator: it yields ``(case, got, want)`` for every
 comparison it makes, where ``case`` names the input (a degree, a forest, a
 word pair) and the comparison holds when ``got == want``. A check returns no
 verdict of its own; ``run_selfcheck`` judges each one, stopping at its first
-mismatch, so a failing check draws and computes no more than it must.
+mismatch, so a failing check draws and computes no more than it must, and
+reports that mismatch as the check's witness.
 Degree-parametrized checks are capped by the requested maximum degree and by
 a bound of their own. The suite mirrors the library's exact invariants, so a
 single failure indicates a real defect.
@@ -143,6 +144,9 @@ CHECKS: tuple[tuple[str, Callable[[int], Cases]], ...] = (
 )
 
 
-def run_selfcheck(max_degree: int = 5) -> Iterator[tuple[str, bool]]:
+def run_selfcheck(max_degree: int = 5) -> Iterator[tuple[str, tuple | None]]:
+    """Each check's name and its witness: the first ``(case, got, want)``
+    with ``got != want``, or None when the check passes."""
     for name, check in CHECKS:
-        yield name, all(got == want for _, got, want in check(max_degree))
+        cases = check(max_degree)
+        yield name, next(((c, got, want) for c, got, want in cases if got != want), None)

@@ -456,8 +456,8 @@ class TestSelfcheck:
             staticmethod(lambda w, coeff=1: drawn.append(w) or from_word(w, coeff)),
         )
         per_check = {}
-        for name, ok in selfcheck.run_selfcheck(2):
-            assert ok, name
+        for name, witness in selfcheck.run_selfcheck(2):
+            assert witness is None, name
             per_check[name] = list(drawn)
             drawn.clear()
         assert per_check["diamond-laws"]
@@ -485,19 +485,33 @@ class TestSelfcheck:
         yield "the first case", "got", "want"
         raise AssertionError("the check ran past its first mismatch")
 
-    @pytest.mark.parametrize("check", [_mismatch, _mismatch_then_raise])
-    def test_a_mismatch_fails_the_check(self, capsys, monkeypatch, check):
+    @pytest.mark.parametrize(
+        "check, witness",
+        [
+            (_mismatch, ("'the only case'", "1", "2")),
+            (_mismatch_then_raise, ("'the first case'", "'got'", "'want'")),
+        ],
+        ids=["_mismatch", "_mismatch_then_raise"],
+    )
+    def test_a_mismatch_fails_the_check(self, capsys, monkeypatch, check, witness):
         monkeypatch.setattr(
             selfcheck, "CHECKS", (("tree-counts", selfcheck._check_tree_counts), ("broken", check))
         )
+        line = "FAIL broken: case {} got {} want {}\n".format(*witness)
         code, out, err = invoke(capsys, "selfcheck")
-        assert (code, err) == (1, "")
+        assert (code, err) == (1, line)
         assert out.splitlines() == ["ok   tree-counts", "FAIL broken", "selfcheck FAILED"]
         code, out, err = invoke(capsys, "--json", "selfcheck")
-        assert (code, err) == (1, "")
+        assert (code, err) == (1, line)
         payload = json.loads(out)
         assert payload["checks"] == {"tree-counts": True, "broken": False}
         assert payload["passed"] is False
+        assert payload["witnesses"] == {"broken": dict(zip(("case", "got", "want"), witness))}
+
+    def test_a_pass_reports_no_witness(self, capsys):
+        code, out, err = invoke(capsys, "--json", "selfcheck", "--max-degree", "1")
+        assert (code, err) == (0, "")
+        assert set(json.loads(out)) == {"schema", "command", "max_degree", "checks", "passed"}
 
     def test_rejects_negative_max_degree(self, capsys):
         code, out, err = invoke(capsys, "selfcheck", "--max-degree", "-3")

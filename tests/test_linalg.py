@@ -26,8 +26,12 @@ from treealg import (
 
 
 class TestRationalMatrix:
-    def test_rank(self):
-        assert RationalMatrix([[1, 2], [2, 4]]).rank() == 1
+    def test_rank_and_rref(self):
+        m = RationalMatrix([[1, 2], [2, 4]])
+        assert m.rank() == 1
+        red, pivots = echelon_rref(m)
+        assert pivots == [0]
+        assert red[0] == [Fraction(1), Fraction(2)]
 
     def test_nullspace(self):
         m = RationalMatrix([[1, 1, 0], [0, 0, 1]])
@@ -115,6 +119,26 @@ def gf2_rank(m):
     return linalg._parities(linalg._integer_rows(m.entries), m.cols).rank()
 
 
+def echelon_rref(m):
+    """The reduced row-echelon form read off the Bareiss echelon: each
+    column back-substituted on the pivot rows and divided by the last
+    pivot, then zero rows. This is the elimination that nullspace() and
+    the fallback of rank() rely on."""
+    e, pivots, d = linalg._echelon(m.entries)
+    columns = [linalg._back_substitute(e, pivots, d, c) for c in range(m.cols)]
+    red = [[Fraction(x, d) for x in row] for row in zip(*columns)]
+    red += [[Fraction(0)] * m.cols for _ in range(m.rows - len(pivots))]
+    return red, pivots
+
+
+def check_rref(m):
+    """The Bareiss echelon against the reference RREF: the same entries
+    and pivots, every entry a Fraction."""
+    red, pivots = echelon_rref(m)
+    assert (red, pivots) == reference_rref(m.entries, m.cols)
+    assert all(type(e) is Fraction for row in red for e in row)
+
+
 def check_nullspace(m):
     """m.nullspace() against the kernel read off the reference RREF: one
     vector per free column, free entry 1, every entry a Fraction."""
@@ -146,6 +170,14 @@ class TestEliminationAgainstReference:
         rank = len(reference_rref(m.entries, m.cols)[1])
         assert m.rank() == rank
         assert gf2_rank(m) == 0
+
+    @given(matrices(cols=12))
+    def test_rref(self, m):
+        check_rref(m)
+
+    @given(matrices(entries=small_ints, cols=12))
+    def test_rref_all_int(self, m):
+        check_rref(m)
 
     @given(matrices(cols=12))
     def test_nullspace(self, m):

@@ -108,12 +108,12 @@ def _listing(args, count, enumerate_, key: str, cap: str) -> int:
 # degree, forest degree plus word length, and the sum of the word lengths.
 # Term counts grow exponentially with it, and products of [[]] cost far more
 # than products of leaves. At the cap, the slowest of the products of [[]]
-# and their mixes with leaves, sigma of [[]] x 8, takes 3.6 s and 560 MB;
-# one degree more, sigma of [[]] x 8 [], takes 8.0 s and 1.3 GB, and at
-# degree 18 sigma of [[]] x 9 runs out of a 2.5 GB address space (2-core
-# x86-64 host, Python 3.11). Products of deeper ladders cost more again, and
-# sigma of [[[[]]]] x 4 runs out of 2.5 GB at the cap: the cap bounds
-# degree, not work, and an input that runs out of memory exits 2 with
+# and their mixes with leaves, sigma of [[]] x 8, takes 2.3-3.4 s and
+# 213 MB; one degree more, sigma of [[]] x 8 [], takes 8.2 s and 431 MB,
+# and at degree 18 sigma of [[]] x 9 takes 19 s and 870 MB (2-core x86-64
+# host, Python 3.11). Products of deeper ladders cost more again: sigma of
+# [[[[]]]] x 4, at the cap, takes 30 s and 1.8 GB. The cap bounds degree,
+# not work, and an input that runs out of memory exits 2 with
 # "error: out of memory".
 MAX_OUTPUT_DEGREE = 16
 
@@ -126,8 +126,8 @@ MAX_DENSE_DEGREE = 9
 # The largest degree that decompose accepts. It takes sigma of its input
 # first, and that, not the sparse solve (about 0.5 s at the cap), bounds
 # it. At the cap, the slowest of the products of ladders and leaves,
-# ladder(5) x 2 times [[[]]] or three leaves, takes 2.7-2.8 s and 450-480 MB;
-# at degree 14, ladder(6) x 2 [[]] takes 11.5 s and 1.9 GB (same host).
+# ladder(5) x 2 times [[[]]] or three leaves, takes 1.8-2.1 s and 164-172 MB;
+# at degree 14, ladder(6) x 2 [[]] takes 8.4 s and 620 MB (same host).
 MAX_DECOMPOSE_DEGREE = 13
 
 # The largest number of terms that coproduct expands, counted before any
@@ -141,8 +141,8 @@ MAX_DECOMPOSE_DEGREE = 13
 MAX_COPRODUCT_TERMS = 1_000_000
 
 # The largest m + n that relation accepts, with or without --verify. At the
-# cap, the slowest pair, relation 6 7 --verify, takes 5.4 s and 643 MB;
-# relation 7 7 --verify takes 15 s and 1.5 GB (2-core x86-64 host, Python
+# cap, the slowest pair, relation 6 7 --verify, takes 3.0 s and 222 MB;
+# relation 7 7 --verify takes 8.5 s and 509 MB (2-core x86-64 host, Python
 # 3.11). Without --verify only f_{m,n} is built, which is cheap (0.1 s for
 # m = n = 20 from Python), but one cap keeps the command's budget simple.
 MAX_RELATION_DEGREE = 13

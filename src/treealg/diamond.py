@@ -21,7 +21,9 @@ order would make the recursion reach more distinct pairs: 61k entries, not
 leaves.) ``sigma_forest`` caches forest values: a one-tree forest takes
 the grafting rule, any other forest the diamond product of its last tree's
 value with that of the trees before it. Both caches are ``functools.cache``
-(``cache_info()``, ``cache_clear()``). Every sum accumulates in place into
+(``cache_info()``, ``cache_clear()``). ``_diamond_pair`` appends its last
+letters through the word tables of ``words``, so every word in either cache
+is the one interned ``str`` for it. Every sum accumulates in place into
 one fresh dict, all-``Fraction`` coefficients are summed in ints
 (``lincomb``), and cached values are never mutated.
 """
@@ -32,9 +34,10 @@ from functools import cache
 from .hopf import HElem
 from .lincomb import Scalar, add_into, linear, numerators, over
 from .trees import Forest, LEAF
-from .words import ONE, Poly, Y, op_R
+from .words import APPEND_X, APPEND_Y, ONE, Poly, Y, op_R
 
-_FLIP = {"x": "y", "y": "x"}
+_APPEND = {"x": APPEND_X, "y": APPEND_Y}
+_APPEND_FLIP = {"x": APPEND_Y, "y": APPEND_X}
 # The recursion strips one letter a call, which counts three times against
 # the recursion limit (front, cache wrapper, body). A pair whose longer word
 # is _JUMP or more letters longer first fills the pair with that word _JUMP
@@ -61,15 +64,17 @@ def _diamond_pair(a: str, b: str) -> Poly:
         _diamond_words(a[:-_JUMP], b)
     v, p = a[:-1], a[-1]
     w, q = b[:-1], b[-1]
-    acc = {u + p: c for u, c in _diamond_words(v, b).terms.items()}
+    up = _APPEND[p]
+    acc = {up[u]: c for u, c in _diamond_words(v, b).terms.items()}
     if p == q:
         # vx <> wx and vy <> wy: subtract (v flip(p) <> w) p
-        second = _diamond_words(v + _FLIP[p], w).terms.items()
-        add_into(acc, {u + p: c for u, c in second}, -1)
+        second = _diamond_words(_APPEND_FLIP[p][v], w).terms.items()
+        add_into(acc, {up[u]: c for u, c in second}, -1)
     else:
         # the second part ends in q, the first in p: no key repeats
+        uq = _APPEND[q]
         for u, c in _diamond_words(a, w).terms.items():
-            acc[u + q] = c
+            acc[uq[u]] = c
     return Poly._wrap(acc)
 
 

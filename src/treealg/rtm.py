@@ -9,30 +9,35 @@ recursion
     f(va) = sum over coproduct terms c (f1 (x) f2) of  c f1(v) f2(a).
 
 The empty forest acts as the identity and every nonempty forest kills
-constants. With z = x + y, every nonempty forest g has g(y) = -g(x), so
-only the term f (x) 1 survives in f(vx) + f(vy), which is therefore f(v)z;
-hence
+constants. Words ending in x pay for the coproduct sum. Its term f (x) 1
+gives f(v)x, since the empty forest maps x to x, and the other terms are
+grouped by their left factor:
 
-    f(vy) = f(v)z - f(vx),
-
-which costs one pass over f(v) and f(vx); the word "y" is the case v = 1,
-so a tree's value on y is minus its value on x. Only words ending in x pay
-for the coproduct sum. Its term f (x) 1 gives f(v)x, since the empty
-forest maps x to x, and the other terms are grouped by their left factor:
-
-    f(vx) = f(v)x + sum over f1 of  f1(v) H_f[f1],
+    f(vx) = f(v)x + G,  G = sum over f1 of  f1(v) H_f[f1],
     H_f[f1] = sum over the terms c (f1 (x) f2) with f2 nonempty of  c f2(x),
 
 with the groups whose sum is zero dropped. H_f depends on f alone and is
-built once, the first time f meets a word vx with v nonempty.
+built once, the first time f meets a word vx with v nonempty. Every word of
+g(x), g nonempty, ends in y (xy for the leaf, an image of R for a grafted
+tree, and by the rule below for a composition), so the words of G end in y
+and those of f(v)x in x. With z = x + y, every nonempty forest g has
+g(y) = -g(x), so only the term f (x) 1 survives in f(vx) + f(vy), which is
+therefore f(v)z; hence
+
+    f(vy) = f(v)z - f(vx) = f(v)y - G,
+
+with G read off f(vx) as its words ending in y: one pass over f(v) and
+f(vx), and no word ending in x is written. The word "y" is the case v = 1,
+so a tree's value on y is minus its value on x.
 
 Every rule above is linear in f, so a combination F = sum c_f f is
 evaluated as one map by the same rules: F(1) = c_1 (the coefficient of the
 empty forest), F(x) = sum c_f f(x) from each forest's letter rule,
-F(vy) = F(v)z - F(vx), and F(vx) = F(v)x + sum f1(v) H_F[f1], where H_F is
-grouped from the linear coproduct sum c_f delta(f). Terms of the coproduct
-and groups that cancel are dropped before any word product is expanded:
-the relations f_{m,n} vanish, so F(v) is zero and most of H_F cancels.
+F(vx) = F(v)x + sum f1(v) H_F[f1], where H_F is grouped from the linear
+coproduct sum c_f delta(f), and F(vy) = F(v)y minus the words of F(vx)
+ending in y. Terms of the coproduct and groups that cancel are dropped
+before any word product is expanded: the relations f_{m,n} vanish, so F(v)
+is zero and most of H_F cancels.
 ``rtm_apply`` takes this route for a combination of two or more forests
 whose coefficients are ints, or all ``Fraction`` (summed in ints, see
 ``lincomb``), on a polynomial whose coefficients all have one type; then
@@ -44,13 +49,17 @@ for a combination. ``_on_word`` caches values by (key, word) and
 ``_right_factors`` the groups H by key, both with ``functools.cache``
 (``cache_info()``, ``cache_clear()``), on top of the coproduct table of
 ``hopf``; on x, a one-tree forest takes the grafting rule and any other
-forest the composition rule. Every linear extension runs through
+forest the composition rule. Every word in either cache is the one interned
+``str`` for it: F(v)x and F(v)y are built through the word tables of
+``words``, and the concatenations of the x-step are interned in the pass
+that drops their zero sums. Every linear extension runs through
 ``lincomb.linear``, every sum accumulates into a fresh dict, every cached
 value is built compact (no slots left by deleted keys), and cached values
 are never mutated.
 """
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import cache
 from typing import Union
@@ -58,7 +67,7 @@ from typing import Union
 from .hopf import HElem, _forest_coproduct, coproduct
 from .lincomb import Scalar, add_concat_into, add_into, linear, numerators
 from .trees import EMPTY_FOREST, Forest, LEAF
-from .words import Poly, X, op_R
+from .words import APPEND_X, APPEND_Y, Poly, X, op_R
 
 # a forest, or a combination of forests as a frozenset of (forest, int) pairs
 Key = Union[Forest, frozenset]
@@ -73,7 +82,7 @@ _JUMP = 64
 @cache
 def _on_word(key: Key, w: str) -> Poly:
     if key is EMPTY_FOREST:
-        return Poly._wrap({w: 1})
+        return Poly._wrap({sys.intern(w): 1})
     if not w:
         # F(1) = c_1; a nonempty forest kills constants
         if type(key) is Forest:
@@ -83,24 +92,22 @@ def _on_word(key: Key, w: str) -> Poly:
         _on_word(key, w[:-_JUMP])
     v = w[:-1]
     if w[-1] == "y":
-        # F(vy) = F(v)z - F(vx). The words ending in x cancel: their zeros
-        # stay in acc (no key is deleted) until the pruning constructor
-        acc = {u: -c for u, c in _on_word(key, v + "x").terms.items()}
+        # F(vy) = F(v)y - G, G the words of F(vx) ending in y
+        acc = {APPEND_Y[u]: c for u, c in _on_word(key, v).terms.items()}
         get = acc.get
-        for u, c in _on_word(key, v).terms.items():
-            ux = u + "x"
-            acc[ux] = get(ux, 0) + c
-            uy = u + "y"
-            acc[uy] = get(uy, 0) + c
+        for u, c in _on_word(key, APPEND_X[v]).terms.items():
+            if u[-1] == "y":
+                acc[u] = get(u, 0) - c
         return Poly(acc)
     if v:
         # F(vx) = F(v)x + sum of f1(v) H_F[f1]
-        acc = {u + "x": c for u, c in _on_word(key, v).terms.items()}
+        acc = {APPEND_X[u]: c for u, c in _on_word(key, v).terms.items()}
         for f1, h in _right_factors(key):
             left = _on_word(f1, v).terms
             if left:
                 add_concat_into(acc, left, h)
-        return Poly(acc)
+        # zero sums dropped; the one interned str for each word kept
+        return Poly._wrap({sys.intern(u): c for u, c in acc.items() if c})
     if type(key) is not Forest:
         return Poly(linear(dict(key), lambda f: _on_word(f, "x").terms))
     if len(key.trees) == 1:

@@ -5,8 +5,20 @@ unit word. ``Poly`` is a sparse map word -> rational on the shared
 linear-combination core (``lincomb``), whose sums accumulate in place.
 Canonical printing orders terms by word length, then lexicographically with
 x < y.
+
+The memos of ``diamond`` and ``rtm`` hold millions of terms but only 2^n
+words of length n, so each word they store is the one interned ``str`` for
+it, not a private copy. Their keys are built through word tables
+(``APPEND_X``, ``APPEND_Y`` and ``op_R``'s two), which map a word to the
+interned image on first lookup and return it from then on: a lookup is
+cheaper than the concatenation it replaces. The tables are caches like the
+``functools.cache`` memos (``cache_info().currsize``, ``cache_clear()``).
+``Poly`` itself takes any ``str`` key.
 """
 from __future__ import annotations
+
+import sys
+from typing import NamedTuple
 
 from .lincomb import (
     LinComb,
@@ -17,6 +29,39 @@ from .lincomb import (
     read_rational,
     skip_while,
 )
+
+
+class TableInfo(NamedTuple):
+    currsize: int
+
+
+class _WordTable(dict):
+    """uz -> sys.intern(u + tail) for the words uz that end in ``ending``
+    (any word if it is empty), stored on the first lookup; any other word
+    raises ValueError."""
+
+    def __init__(self, name: str, tail: str, ending: str = ""):
+        super().__init__()
+        self.__name__ = name
+        self._tail, self._ending = tail, ending
+
+    def __missing__(self, w: str) -> str:
+        if not w.endswith(self._ending):
+            raise ValueError(f"term {w or '1'!r} does not end in {self._ending}")
+        out = self[w] = sys.intern(w[:len(w) - len(self._ending)] + self._tail)
+        return out
+
+    def cache_info(self) -> TableInfo:
+        return TableInfo(len(self))
+
+    cache_clear = dict.clear
+
+
+APPEND_X = _WordTable("APPEND_X", "x")
+APPEND_Y = _WordTable("APPEND_Y", "y")
+# uy -> uxy and uyy, for op_R
+_R_XY = _WordTable("_R_XY", "xy", "y")
+_R_YY = _WordTable("_R_YY", "yy", "y")
 
 
 class PolySyntaxError(ValueError):
@@ -48,6 +93,11 @@ class Poly(LinComb):
         """Concatenation product (noncommutative)."""
         if type(other) is not Poly:
             return NotImplemented
+        if self.homogeneous_degree() is not None:
+            # left words of one length: u + v determines u and v, so every
+            # product is its own term and none is zero
+            right = other.terms.items()
+            return Poly._wrap({u + v: a * b for u, a in self.terms.items() for v, b in right})
         acc: dict[str, Scalar] = {}
         add_concat_into(acc, self.terms, other.terms)
         return Poly(acc)
@@ -67,11 +117,8 @@ def op_R(v: Poly) -> Poly:
     becomes c*uxy + 2c*uyy. The images of distinct terms are distinct."""
     out: dict[str, Scalar] = {}
     for w, c in v.terms.items():
-        if not w.endswith("y"):
-            raise ValueError(f"term {w or '1'!r} does not end in y")
-        u = w[:-1]
-        out[u + "xy"] = c
-        out[u + "yy"] = 2 * c
+        out[_R_XY[w]] = c
+        out[_R_YY[w]] = 2 * c
     return Poly._wrap(out)
 
 

@@ -14,21 +14,23 @@ def all_words(max_len, include_empty=True):
 
 
 def treealg_caches():
-    """Every cached function in the imported treealg modules, found by its
-    ``cache_clear`` attribute, once each (the package re-exports some)."""
+    """Every cached function and word table in the imported treealg modules,
+    found by its ``cache_clear`` attribute (a class that defines one is not
+    a cache), once each (the package re-exports some)."""
     return list({
         id(obj): obj
         for name, module in list(sys.modules.items())
         if name == "treealg" or name.startswith("treealg.")
         for obj in vars(module).values()
-        if hasattr(obj, "cache_clear")
+        if hasattr(obj, "cache_clear") and not isinstance(obj, type)
     }.values())
 
 
 def clear_caches():
-    """Empty every memo of treealg: each cached function and the coproduct
-    table ``hopf._FOREST_DELTA``, which its worklist fills directly.
-    ``Tree._pool`` and ``Forest._pool`` hold identity and are never cleared."""
+    """Empty every memo of treealg: each cached function, each word table
+    of ``words`` and the coproduct table ``hopf._FOREST_DELTA``, which its
+    worklist fills directly. ``Tree._pool`` and ``Forest._pool`` hold
+    identity and are never cleared."""
     for fn in treealg_caches():
         fn.cache_clear()
     hopf._FOREST_DELTA.clear()

@@ -9,8 +9,10 @@ coefficient, must hold no zero coefficient, and must return an equal result
 when called again, so that a memo entry changed through an aliased
 accumulator shows up.
 """
+import functools
 import importlib
 import operator
+import sys
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
@@ -388,6 +390,7 @@ class TestColdAndWarm:
         assert set(names) >= {
             "_diamond_pair", "sigma_forest", "_on_word", "_right_factors", "_ladder_poly",
             "_pieces", "enumerate_trees", "enumerate_forests", "basis_forests", "_k_system",
+            "APPEND_X", "APPEND_Y", "_R_XY", "_R_YY",
         }
         assert all(fn.cache_info().currsize for fn in names.values())
         assert hopf._FOREST_DELTA
@@ -484,3 +487,61 @@ class TestCombinationAsOneMap:
         expected = per_forest_sum(f, w)
         clear_caches()
         _assert_matches(rtm_apply, (f, w), expected)
+
+
+# --- one interned str per word in every memo ----------------------------------
+
+
+def _fresh(w):
+    """An equal str that is a new object (one-letter words are shared)."""
+    return (w + ".")[:-1]
+
+
+def _words_in(value):
+    if isinstance(value, Poly):
+        yield from value.terms
+    elif isinstance(value, dict):
+        yield from (k for k in value if type(k) is str)
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _words_in(v)
+
+
+class TestInternedWords:
+    def test_every_memo_word_is_the_interned_str(self, monkeypatch):
+        # each functools.cache of treealg is swapped, under every name that
+        # binds it, for a cache that also keeps its values; the bodies call
+        # their memos by module name, so the recursion fills the new caches
+        clear_caches()
+        values = []
+
+        def recording(body):
+            def record(*args):
+                out = body(*args)
+                values.append(out)
+                return out
+            return functools.cache(record)
+
+        memos = {id(fn): recording(fn.__wrapped__)
+                 for fn in treealg_caches() if hasattr(fn, "__wrapped__")}
+        for name, module in list(sys.modules.items()):
+            if name == "treealg" or name.startswith("treealg."):
+                for attr, obj in list(vars(module).items()):
+                    if id(obj) in memos:
+                        monkeypatch.setattr(module, attr, memos[id(obj)])
+        for m in range(1, 6):
+            for n in range(1, 7 - m):
+                assert verify_fmn(m, n).all_ok
+        for f in forests_up_to(5):
+            sigma(HElem.from_forest(f))
+        words = Poly({_fresh(w): 1 for w in all_words(4)})
+        for f in forests_up_to(3):
+            rtm_apply(HElem.from_forest(f), words)
+        mixed = HElem({EMPTY_FOREST: 1, LEAF_F: Fraction(1, 2), LADDER_TWO: Fraction(-1, 3)})
+        rtm_apply(mixed, words)
+        diamond(Poly.from_word(_fresh("xyxy")), Poly({_fresh("yxy"): 1, "": 2}))
+        seen = {}
+        for w in _words_in(values):
+            assert seen.setdefault(w, w) is w
+            assert sys.intern(_fresh(w)) is w
+        assert len(seen) > 200

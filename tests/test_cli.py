@@ -332,9 +332,11 @@ class TestErrors:
 
     def test_out_of_memory_exits_2(self):
         # degree 16, at the cap; the address-space limit is set on the child
-        # only, which runs out of memory in the diamond memo
+        # only, which runs out of memory in the diamond memo. The child
+        # needs about 20 MB once treealg is imported, and runs out of
+        # 150 MB in about 1.5-2 s, of 400 MB in 4.5-6 s
         def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+            resource.setrlimit(resource.RLIMIT_AS, (150 << 20, 150 << 20))
 
         start = time.perf_counter()
         done = _run_module("sigma", " ".join(["[[[[]]]]"] * 4), preexec_fn=limit)

@@ -1,12 +1,14 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import all_words
+from conftest import all_words, clear_caches
 
+from treealg.words import APPEND_X, APPEND_Y, _R_XY, _R_YY
 from treealg import (
     Poly,
     PolySyntaxError,
@@ -36,6 +38,22 @@ class TestConcat:
     @given(polys, polys, polys)
     def test_associative(self, a, b, c):
         assert (a * b) * c == a * (b * c)
+
+    @given(polys, polys, st.integers(0, 5))
+    def test_against_the_plain_sum(self, a, b, n):
+        # a has words of mixed lengths; its length-n part takes the product
+        # built in one comprehension
+        for left in (a, Poly({u: c for u, c in a.terms.items() if len(u) == n})):
+            expected = {}
+            for u, s in left.terms.items():
+                for v, t in b.terms.items():
+                    expected[u + v] = expected.get(u + v, 0) + s * t
+            assert (left * b).terms == {w: c for w, c in expected.items() if c}
+
+    def test_products_that_collide_or_cancel(self):
+        # mixed left lengths: x.xx and xx.x are one word
+        assert parse_poly("x + xx") * parse_poly("xx + x") == parse_poly("xx + 2xxx + xxxx")
+        assert (parse_poly("x - xx") * parse_poly("xx + x")).terms == {"xx": 1, "xxxx": -1}
 
 
 class TestRightOperators:
@@ -193,3 +211,26 @@ class TestTextForm:
     def test_from_word_accepts_words_over_x_y(self):
         assert Poly.from_word("").terms == {"": 1}
         assert Poly.from_word("xyx", -2).terms == {"xyx": -2}
+
+
+class TestWordTables:
+    def test_tables_are_concatenation(self):
+        clear_caches()
+        for _ in range(2):  # filled, then hit
+            for u in all_words(8):
+                for table, image in ((APPEND_X, u + "x"), (APPEND_Y, u + "y")):
+                    assert table[u] == image
+                    assert table[u] is sys.intern(image)
+                uy = u + "y"
+                assert (_R_XY[uy], _R_YY[uy]) == (u + "xy", u + "yy")
+                assert _R_XY[uy] is sys.intern(u + "xy")
+        assert APPEND_X.cache_info().currsize == len(all_words(8))
+        clear_caches()
+        assert all(t.cache_info().currsize == 0 for t in (APPEND_X, APPEND_Y, _R_XY, _R_YY))
+
+    def test_r_tables_reject_a_word_not_ending_in_y(self):
+        for table in (_R_XY, _R_YY):
+            for w in ("", "x", "yx"):
+                with pytest.raises(ValueError, match="does not end in y"):
+                    table[w]
+                assert w not in table

@@ -32,6 +32,8 @@ from .lincomb import (
 
 
 class TableInfo(NamedTuple):
+    """What ``cache_info()`` of a word table reports: its entry count."""
+
     currsize: int
 
 

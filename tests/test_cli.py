@@ -334,7 +334,7 @@ class TestErrors:
         # degree 16, at the cap; the address-space limit is set on the child
         # only, which runs out of memory in the diamond memo. The child
         # needs about 20 MB once treealg is imported, and runs out of
-        # 150 MB in about 1.5-2 s, of 400 MB in 4.5-6 s
+        # 150 MB in about 1.5-2 s, of 400 MB in 4.3-6.1 s
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (150 << 20, 150 << 20))
 

@@ -148,13 +148,16 @@ MAX_COPRODUCT_TERMS = 1_000_000
 MAX_RELATION_DEGREE = 13
 
 # The largest degree that the listings accept: trees and forests without
-# --count-only, and basis, which lists 2^(d-1) forests. With --matrix or
-# --check-mod2, basis also builds the dense 2^(d-1) x 2^(d-1) matrix of
-# sigma values. At the caps, trees 16 takes 4.2-5.5 s and 213 MB, forests 15
-# 3.1-3.7 s and 144 MB, basis 19 7.1 s and 216 MB, and basis 11 --matrix
-# 6.6 s and 278 MB; one degree more takes 14 s and 510 MB (trees 17), 8.7 s
-# and 356 MB (forests 16), 14 s and 416 MB (basis 20) and 30 s and 1.1 GB
-# (basis 12 --matrix) on the same host.
+# --count-only, and basis, which lists 2^(d-1) forests. With --matrix, basis
+# also builds the dense 2^(d-1) x 2^(d-1) matrix of sigma values; with
+# --check-mod2 it packs their parities into 2^(d-1) bit rows and takes one
+# GF(2) rank. At the caps, trees 16 takes 4.2-5.5 s and 213 MB, forests 15
+# 3.1-3.7 s and 144 MB, basis 19 7.1 s and 216 MB, basis 11 --check-mod2
+# 2.4-2.9 s and 70 MB, and basis 11 --matrix 2.5-3.8 s and 156 MB; one
+# degree more takes 14 s and 510 MB (trees 17), 8.7 s and 356 MB (forests
+# 16), 14 s and 416 MB (basis 20), 10-12 s and 244 MB (basis 12
+# --check-mod2) and 9.3-12 s and 589 MB (basis 12 --matrix) on the same
+# host (two runs each, child address space limited to 3 GB).
 MAX_TREE_DEGREE = 16
 MAX_FOREST_DEGREE = 15
 MAX_BASIS_DEGREE = 19

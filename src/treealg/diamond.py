@@ -10,21 +10,25 @@ The diamond product is defined on words by recursion on last letters:
 
 and extended bilinearly. ``sigma`` sends a forest to its polynomial value:
 the leaf goes to y, grafting acts by the degree-raising operator, and a
-product of trees goes to the diamond product of their values.
+product of trees goes to the diamond product of their values. A product
+leaf·u with u nonempty goes to y ◇ sigma(u) = T sigma(u), which
+``words.op_Y`` gives in closed form (its docstring proves T = · ◇ y).
 
 The product is commutative, so word products are cached once per
 unordered pair: ``_diamond_words`` answers the empty-word cases and puts
 the longer word first, words of one length in string order, and the
 recursion runs in ``_diamond_pair`` on that orientation. (Plain string
 order would make the recursion reach more distinct pairs: 61k entries, not
-49k, for sigma of 16 leaves, and about 20% more peak memory for 18
-leaves.) ``sigma_forest`` caches forest values: a one-tree forest takes
-the grafting rule, any other forest the diamond product of its last tree's
-value with that of the trees before it. Both caches are ``functools.cache``
-(``cache_info()``, ``cache_clear()``). ``_diamond_pair`` appends its last
-letters through the word tables of ``words``, so every word in either cache
-is the one interned ``str`` for it. Every sum accumulates in place into
-one fresh dict, all-``Fraction`` coefficients are summed in ints
+49k, for sigma of 16 leaves as a chain of diamond products, and about 20%
+more peak memory for 18 leaves.) ``sigma_forest`` caches forest values: a
+one-tree forest takes the grafting rule, a forest with a leaf and more
+trees the T rule, any other forest the diamond product of its last tree's
+value with that of the trees before it. Both caches are
+``functools.cache`` (``cache_info()``, ``cache_clear()``).
+``_diamond_pair`` appends its last letters through the word tables of
+``words``, and ``op_Y`` interns the words it keeps, so every word in either
+cache is the one interned ``str`` for it. Every sum accumulates in place
+into one fresh dict, all-``Fraction`` coefficients are summed in ints
 (``lincomb``), and cached values are never mutated.
 """
 from __future__ import annotations
@@ -34,7 +38,7 @@ from functools import cache
 from .hopf import HElem
 from .lincomb import Scalar, add_into, linear, numerators, over
 from .trees import Forest, LEAF
-from .words import APPEND_X, APPEND_Y, ONE, Poly, Y, op_R
+from .words import APPEND_X, APPEND_Y, ONE, Poly, Y, op_R, op_Y
 
 _APPEND = {"x": APPEND_X, "y": APPEND_Y}
 _APPEND_FLIP = {"x": APPEND_Y, "y": APPEND_X}
@@ -98,6 +102,9 @@ def sigma_forest(f: Forest) -> Poly:
     if len(f.trees) == 1:
         t = f.trees[0]
         return Y if t is LEAF else op_R(sigma_forest(t.child_forest()))
+    if f.trees[0] is LEAF:
+        # sigma(leaf·u) = y <> sigma(u) = T sigma(u), in closed form
+        return op_Y(sigma_forest(Forest(f.trees[1:])))
     *init, last = f.trees
     return diamond(sigma_forest(Forest(init)), sigma_forest(last.as_forest()))
 

@@ -12,7 +12,10 @@ out exact, in ``Fraction`` entries. ``BitMatrix`` packs rows into Python
 ints for elimination over GF(2). On top of these sit the basis family
 (grown from the empty forest by grafting and by multiplying with the
 leaf), the change-of-basis matrix to the y-ending word basis, and
-per-degree kernel computation.
+per-degree kernel computation. ``check_mod2_invertible`` builds no
+``RationalMatrix``: it packs the odd sigma coefficients of each basis
+forest into a bit row over the y-ending words and takes one GF(2) rank.
+Type tests on entries are made once per row, not once per entry.
 
 ``decompose`` builds no matrix of sigma values. V_d is spanned by the
 words of length d that end in y; R (``op_R``) and T = · ◇ y (``op_Y``) map
@@ -20,9 +23,12 @@ V_(d-1) into V_d.
 
 - Lemma A. The degree-d basis family is {B+u} and {leaf·u} over u in the
   degree-(d-1) family, with sigma(B+u) = R sigma(u) and sigma(leaf·u) =
-  y ◇ sigma(u) = T sigma(u). So t = sigma(f) is R(p) + T(q) for p, q in
-  V_(d-1): f's coefficients on B+u are those of p one degree down, and
-  on leaf·u those of q. At d = 1 the family is the leaf, and sigma of it y.
+  y ◇ sigma(u) = T sigma(u). The docstring of ``op_Y`` proves T = · ◇ y
+  on every word, and ``sigma_forest`` takes both rules in closed form, so
+  sigma of the whole family needs no diamond product. So t = sigma(f) is
+  R(p) + T(q) for p, q in V_(d-1): f's coefficients on B+u are those of p
+  one degree down, and on leaf·u those of q. At d = 1 the family is the
+  leaf, and sigma of it y.
 - Lemma B. R(p) has p_uy at uxy and 2 p_uy at uyy, so q solves
   K_dᵀ q = (t_uyy - 2 t_uxy)_u, where row v of K_d is
   T(vy)_uyy - 2 T(vy)_uxy over the words u of length d-2; it has at most d
@@ -58,6 +64,8 @@ from .hopf import HElem
 from .trees import EMPTY_FOREST, Forest, LEAF, bplus, enumerate_forests, forest_product
 from .words import Poly, op_Y
 
+_INT = {int}
+
 
 def _integer_rows(entries: list[list[Fraction | int]]) -> list[list[int]]:
     """An all-int row as is; any other row scaled by the lcm of its
@@ -65,7 +73,7 @@ def _integer_rows(entries: list[list[Fraction | int]]) -> list[list[int]]:
     kernel."""
     out = []
     for row in entries:
-        if not all(type(e) is int for e in row):
+        if set(map(type, row)) - _INT:
             scale = lcm(*(e.denominator for e in row))
             row = [e.numerator * (scale // e.denominator) for e in row]
         out.append(row)
@@ -131,7 +139,11 @@ class RationalMatrix:
             width = len(entries[0])
             if any(len(row) != width for row in entries):
                 raise ValueError("ragged rows")
-        self.entries = [[e if type(e) is int else Fraction(e) for e in row] for row in entries]
+        self.entries = [
+            [e if type(e) is int else Fraction(e) for e in row]
+            if set(map(type, row)) - _INT else list(row)
+            for row in entries
+        ]
 
     @property
     def rows(self) -> int:
@@ -165,8 +177,9 @@ class RationalMatrix:
         return basis
 
     def mod2(self) -> "BitMatrix":
-        if any(e.denominator != 1 for row in self.entries for e in row):
-            raise ValueError("entry is not an integer")
+        for row in self.entries:
+            if set(map(type, row)) - _INT and any(e.denominator != 1 for e in row):
+                raise ValueError("entry is not an integer")
         return _parities(_integer_rows(self.entries), self.cols)
 
 
@@ -218,9 +231,13 @@ def words_ending_in_y(d: int) -> tuple[str, ...]:
     return tuple("".join(p) + "y" for p in product("xy", repeat=d - 1))
 
 
-def _word_coeffs(p: Poly, basis: tuple[str, ...]) -> list[Fraction | int]:
-    index = {w: i for i, w in enumerate(basis)}
-    coeffs: list[Fraction | int] = [0] * len(basis)
+def _word_index(d: int) -> dict[str, int]:
+    """The column of each word of ``words_ending_in_y(d)``."""
+    return {w: i for i, w in enumerate(words_ending_in_y(d))}
+
+
+def _word_coeffs(p: Poly, index: dict[str, int]) -> list[Fraction | int]:
+    coeffs: list[Fraction | int] = [0] * len(index)
     for w, c in p.terms.items():
         coeffs[index[w]] = c
     return coeffs
@@ -231,9 +248,21 @@ def basis_matrix(d: int) -> RationalMatrix:
     the y-ending word basis (lexicographic columns)."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    wbasis = words_ending_in_y(d)
-    return RationalMatrix(
-        [_word_coeffs(sigma_forest(u), wbasis) for u in basis_forests(d)]
+    index = _word_index(d)
+    return RationalMatrix([_word_coeffs(sigma_forest(u), index) for u in basis_forests(d)])
+
+
+def _basis_parities(d: int) -> BitMatrix:
+    """``basis_matrix(d).mod2()`` straight from the sigma values: bit c of
+    row r is set where sigma of the r-th basis forest has an odd
+    coefficient at the c-th word ending in y."""
+    index = _word_index(d)
+    return BitMatrix(
+        [
+            sum(1 << index[w] for w, c in sigma_forest(u).terms.items() if c & 1)
+            for u in basis_forests(d)
+        ],
+        len(index),
     )
 
 
@@ -242,8 +271,10 @@ def check_mod2_invertible(d: int) -> bool:
 
     This implies full rank over Q: the determinant is an integer that is
     odd, hence nonzero. ``RationalMatrix.rank`` certifies a full rank by
-    the same argument."""
-    return basis_matrix(d).mod2().is_invertible()
+    the same argument. The parities are packed straight from the sigma
+    values, which are integral, with no ``RationalMatrix`` built; by Lemma
+    A those of the basis family come from R and T alone."""
+    return _basis_parities(d).is_invertible()
 
 
 def _trailing_ys(u: int) -> int:
@@ -255,7 +286,7 @@ def _trailing_ys(u: int) -> int:
 def _t_rows(d: int) -> list[list[tuple[int, int]]]:
     """Row v, d >= 2: T(vy) for the v-th word vy of V_(d-1), as (index in
     V_d, coefficient) pairs."""
-    index = {w: i for i, w in enumerate(words_ending_in_y(d))}
+    index = _word_index(d)
     return [
         [(index[w], c) for w, c in op_Y(Poly._wrap({vy: 1})).terms.items()]
         for vy in words_ending_in_y(d - 1)
@@ -388,7 +419,7 @@ def decompose(f: HElem, d: int) -> dict[Forest, Fraction]:
     deg = f.homogeneous_degree()
     if deg is None or (not f.is_zero() and deg != d):
         raise ValueError(f"input is not {d}-homogeneous")
-    target = _word_coeffs(sigma(f), words_ending_in_y(d))
+    target = _word_coeffs(sigma(f), _word_index(d))
     den = lcm(*(c.denominator for c in target))
     coords, scale = _coords([c.numerator * (den // c.denominator) for c in target], d)
     return {u: Fraction(c, den * scale) for u, c in zip(basis_forests(d), coords)}
@@ -401,9 +432,9 @@ def sigma_kernel(d: int) -> list[HElem]:
     if d < 1:
         raise ValueError("degree must be >= 1")
     forests = enumerate_forests(d)
-    wbasis = words_ending_in_y(d)
+    index = _word_index(d)
     # columns indexed by forests, rows by word basis
-    columns = [_word_coeffs(sigma_forest(f), wbasis) for f in forests]
+    columns = [_word_coeffs(sigma_forest(f), index) for f in forests]
     mat = RationalMatrix([list(row) for row in zip(*columns)])
     return [
         HElem({f: c for f, c in zip(forests, vec) if c})

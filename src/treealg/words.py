@@ -127,8 +127,16 @@ def op_R(v: Poly) -> Poly:
 def op_Y(v: Poly) -> Poly:
     """The operator T = · ◇ y in closed form: each term c*w becomes
     c*yw + Σ_i s_i c*w_<i xy w_>i, with s_i = 1 where w_i = x and -1 where
-    w_i = y. (The diamond recursion with right factor y gives T(1) = y and
-    T(vp) = T(v)p + s_p vxy, which unrolls to this.)"""
+    w_i = y. Every word it keeps is interned, as in the diamond memo.
+
+    Proof that T(w) = w ◇ y for every word w. Take the right factor y = 1·y
+    in the diamond rules: 1 ◇ y = y, vx ◇ y = (v ◇ y)x + (vx ◇ 1)y and
+    vy ◇ y = (v ◇ y)y - (vx ◇ 1)y. So T(1) = y and T(vp) = T(v)p + s_p vxy,
+    with s_x = 1 and s_y = -1. Induct on the length n of w = vp: if
+    T(v) = yv + Σ_{i<n} s_i v_<i xy v_>i, then T(v)p appends p to every
+    term, giving y(vp) and the terms for the letters i < n of vp, and
+    s_p vxy = s_p (vp)_<n xy is the term for its last letter. The product
+    is bilinear, so T on a polynomial is the sum over its terms."""
     out: dict[str, Scalar] = {}
     get = out.get
     for w, c in v.terms.items():
@@ -136,7 +144,8 @@ def op_Y(v: Poly) -> Poly:
         for i, a in enumerate(w):
             k = w[:i] + "xy" + w[i + 1:]
             out[k] = get(k, 0) + (c if a == "x" else -c)
-    return Poly(out)
+    # the pruning pass interns each surviving word
+    return Poly._wrap({sys.intern(k): c for k, c in out.items() if c})
 
 
 def _poly_term(w: str, mag: Scalar) -> str:

@@ -331,15 +331,18 @@ class TestErrors:
         assert sum(line.endswith(": 0") for line in lines) == len(lines) - 1
 
     def test_out_of_memory_exits_2(self):
-        # degree 16, at the cap; the address-space limit is set on the child
-        # only, which runs out of memory in the diamond memo. The child
-        # needs about 20 MB once treealg is imported, and runs out of
-        # 150 MB in about 1.5-2 s, of 400 MB in 4.3-6.1 s
+        # the address-space limit is set on the child only. The child needs
+        # about 20 MB once treealg is imported. Parsing a 50,000-deep ladder
+        # builds its 50,000 nested trees, whose encodings take about
+        # 2.5 GB, so the child runs out of 150 MB about 11,000 levels in,
+        # before any cap is checked and with no memo touched: in about 0.3 s
+        depth = 50_000
+
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (150 << 20, 150 << 20))
 
         start = time.perf_counter()
-        done = _run_module("sigma", " ".join(["[[[[]]]]"] * 4), preexec_fn=limit)
+        done = _run_module("sigma", "[" * depth + "]" * depth, preexec_fn=limit)
         assert time.perf_counter() - start < 5
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: out of memory\n"

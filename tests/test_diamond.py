@@ -2,7 +2,9 @@ import importlib
 import random
 
 from treealg import (
+    Forest,
     HElem,
+    LEAF,
     diamond,
     enumerate_forests,
     ladder,
@@ -12,7 +14,7 @@ from treealg import (
     sigma,
     sigma_forest,
 )
-from treealg.words import Poly, Y, Z
+from treealg.words import Poly, Y, Z, op_R
 
 from conftest import all_words, clear_caches
 
@@ -158,3 +160,44 @@ class TestSigma:
             f, g = rng.choice(pool), rng.choice(pool)
             a, b = HElem.from_forest(f), HElem.from_forest(g)
             assert sigma(a * b) == diamond(sigma(a), sigma(b))
+
+
+def reference_sigma(f, memo):
+    """sigma by grafting (``op_R``) and the diamond product alone: a product
+    of trees is the diamond product of the value of all its trees but the
+    last with the value of the last, with no closed form for a leaf factor."""
+    if f not in memo:
+        if not f.trees:
+            memo[f] = Poly.one()
+        elif len(f.trees) == 1:
+            t = f.trees[0]
+            memo[f] = Y if t is LEAF else op_R(reference_sigma(t.child_forest(), memo))
+        else:
+            *init, last = f.trees
+            memo[f] = diamond(
+                reference_sigma(Forest(init), memo), reference_sigma(last.as_forest(), memo)
+            )
+    return memo[f]
+
+
+class TestLeafRule:
+    def test_against_grafting_and_diamond_alone(self):
+        # sigma_forest takes sigma(leaf·u) = T sigma(u) by op_Y
+        memo = {}
+        for d in range(9):
+            for f in enumerate_forests(d):
+                assert sigma_forest(f) == reference_sigma(f, memo), f
+
+    def test_leaf_factors_fill_no_diamond_memo(self):
+        entries = diamond_module._diamond_pair.cache_info
+        try:
+            clear_caches()
+            sigma_forest(parse_forest("[] [] [] [] [] []"))
+            assert entries().currsize == 0
+            sigma_forest(parse_forest("[[]] [[[]]]"))
+            without_leaf = entries().currsize
+            clear_caches()
+            sigma_forest(parse_forest("[] [] [[]] [[[]]]"))
+            assert entries().currsize == without_leaf > 0
+        finally:
+            clear_caches()

@@ -271,6 +271,29 @@ class TestBasisMatrix:
         assert words_ending_in_y(3) == ("xxy", "xyy", "yxy", "yyy")
 
 
+class TestMod2Certificate:
+    def test_parities_match_the_dense_matrix(self):
+        # check_mod2_invertible packs parities from sigma, not from the matrix
+        for d in range(1, 10):
+            dense = basis_matrix(d).mod2()
+            assert linalg._basis_parities(d).row_bits == dense.row_bits
+            assert check_mod2_invertible(d) == dense.is_invertible()
+
+    def test_rows_equal_mod_2_fail(self, monkeypatch):
+        # sigma of the second basis forest moved to sigma(first) + 2 sigma(second)
+        d = 5
+        first, second = basis_forests(d)[:2]
+        real = linalg.sigma_forest
+        monkeypatch.setattr(
+            linalg, "sigma_forest",
+            lambda f: real(first) + 2 * real(second) if f is second else real(f),
+        )
+        rows = linalg._basis_parities(d).row_bits
+        assert rows[0] == rows[1] != 0
+        assert not check_mod2_invertible(d)
+        assert not basis_matrix(d).mod2().is_invertible()
+
+
 class TestDecompose:
     def test_basis_element_is_indicator(self):
         for d in (2, 3, 4):

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Deterministic text output by default; ``--json`` switches every subcommand
-to a stable JSON schema (``"schema": 1``). Exit codes: 0 success, 1
+to a stable JSON schema (``"schema": 1``). The two are renderings of one
+result: a subcommand's handler computes the result once, and ``_emit``
+builds only the rendering asked for. Exit codes: 0 success, 1
 verification failure, 2 usage or parse error.
 """
 from __future__ import annotations
@@ -11,6 +13,8 @@ import json
 import signal
 import sys
 from collections import Counter
+from collections.abc import Callable, Iterable, Iterator
+from itertools import chain
 from math import comb, prod
 
 from .hopf import HElem, coproduct, parse_helem, print_helem, print_tensor
@@ -30,6 +34,7 @@ from .words import parse_poly, print_poly
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser; each subcommand stores its handler as ``args.handler``."""
     parser = argparse.ArgumentParser(
         prog="treealg",
         description="Exact computations with rooted trees, their coproduct, "
@@ -38,70 +43,91 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("trees", help="enumerate rooted trees of a degree")
-    p.add_argument("degree", type=int)
-    p.add_argument("--count-only", action="store_true")
+    def command(name: str, help: str, handler: Callable, **defaults) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, **defaults)
+        return p
 
-    p = sub.add_parser("forests", help="enumerate rooted forests of a degree")
-    p.add_argument("degree", type=int)
-    p.add_argument("--count-only", action="store_true")
+    for name, count, enumerate_, cap in (
+        ("trees", count_trees, enumerate_trees, "MAX_TREE_DEGREE"),
+        ("forests", count_forests, enumerate_forests, "MAX_FOREST_DEGREE"),
+    ):
+        p = command(name, f"enumerate rooted {name} of a degree", _listing,
+                    count=count, enumerate=enumerate_, cap=cap)
+        p.add_argument("degree", type=int)
+        p.add_argument("--count-only", action="store_true")
 
-    p = sub.add_parser("coproduct", help="tensor expansion of a forest combination")
+    p = command("coproduct", "tensor expansion of a forest combination", _cmd_coproduct)
     p.add_argument("element")
 
-    p = sub.add_parser("apply", help="act with a forest combination on a polynomial")
+    p = command("apply", "act with a forest combination on a polynomial", _cmd_apply)
     p.add_argument("element")
     p.add_argument("poly")
 
-    p = sub.add_parser("sigma", help="polynomial value of a forest combination")
+    p = command("sigma", "polynomial value of a forest combination", _cmd_sigma)
     p.add_argument("element")
 
-    p = sub.add_parser("diamond", help="diamond product of two polynomials")
+    p = command("diamond", "diamond product of two polynomials", _cmd_diamond)
     p.add_argument("left")
     p.add_argument("right")
 
-    p = sub.add_parser("relation", help="build (and verify) a relation instance")
+    p = command("relation", "build (and verify) a relation instance", _cmd_relation)
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--verify", action="store_true")
 
-    p = sub.add_parser("basis", help="degree-d basis family")
+    p = command("basis", "degree-d basis family", _cmd_basis)
     p.add_argument("degree", type=int)
     p.add_argument("--matrix", action="store_true")
     p.add_argument("--check-mod2", action="store_true")
 
-    p = sub.add_parser("decompose", help="coefficients over the basis family")
+    p = command("decompose", "coefficients over the basis family", _cmd_decompose)
     p.add_argument("element")
 
-    p = sub.add_parser("kernel", help="basis of the degree-d relation space")
+    p = command("kernel", "basis of the degree-d relation space", _cmd_kernel)
     p.add_argument("degree", type=int)
 
-    p = sub.add_parser("selfcheck", help="run the built-in verification suite")
+    p = command("selfcheck", "run the built-in verification suite", _cmd_selfcheck)
     p.add_argument("--max-degree", type=int, default=5)
 
     return parser
 
 
-def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict) -> None:
+def _emit(args: argparse.Namespace, lines: Iterable[str], payload: Callable[[], dict],
+          code: int = 0) -> int:
+    """Print one rendering of a result and return the exit ``code``: the
+    JSON object ``payload()`` under --json, else ``lines``. ``payload`` is
+    called only under --json and ``lines`` is read only without it, so a
+    handler passes a generator there wherever the text lines cost more
+    than strings it has already built."""
     if args.json:
-        payload = {"schema": 1, "command": args.command, **payload}
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps({"schema": 1, "command": args.command, **payload()}, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in lines:
             print(line)
+    return code
 
 
-def _listing(args, count, enumerate_, key: str, cap: str) -> int:
-    """``trees`` and ``forests``: the count alone comes from ``count``,
-    without enumerating; a listing refuses a degree above ``cap``."""
+def _fields(values: dict) -> Iterator[str]:
+    """The text lines "key: value" of ``values``, in order."""
+    return (f"{k}: {v}" for k, v in values.items())
+
+
+def _listing(args) -> int:
+    """``trees`` and ``forests``: the count alone comes from ``args.count``,
+    without enumerating, up to MAX_COUNT_DEGREE; a listing refuses a degree
+    above ``args.cap``."""
     if args.count_only:
-        n = count(args.degree)
-        _emit(args, [str(n)], {"degree": args.degree, "count": n})
-        return 0
-    _check_degree(args.degree, cap, "degree")
-    encodings = [x.encoding for x in enumerate_(args.degree)]
-    _emit(args, encodings, {"degree": args.degree, "count": len(encodings), key: encodings})
-    return 0
+        _check_degree(args.degree, "MAX_COUNT_DEGREE", "degree")
+        n = args.count(args.degree)
+        return _emit(args, [str(n)], lambda: {"degree": args.degree, "count": n})
+    _check_degree(args.degree, args.cap, "degree")
+    encodings = [x.encoding for x in args.enumerate(args.degree)]
+    return _emit(
+        args,
+        encodings,
+        lambda: {"degree": args.degree, "count": len(encodings), args.command: encodings},
+    )
 
 
 # The largest output degree that sigma, apply and diamond accept: forest
@@ -133,11 +159,11 @@ MAX_DECOMPOSE_DEGREE = 13
 # The largest number of terms that coproduct expands, counted before any
 # merge by _coproduct_terms; its output grows with it, about 40 bytes of
 # text a term. Below the cap, the product of ladders 1..8 and [[]]
-# (725,760 terms) takes 5.0 s and 210 MB (5.9 s and 342 MB with --json);
-# above it, ladders 1..8 and [[][]] (1,451,520) take 9.7 s and 405 MB
-# (11.5 s and 632 MB), and ladders 1..9 (3,628,800) 16-26 s and 865 MB
-# (same host). Degree alone would not do: a 1200-deep ladder has only 1201
-# terms.
+# (725,760 terms) takes 2.7-3.3 s and 152 MB (3.9-4.9 s and 308 MB with
+# --json); above it, ladders 1..8 and [[][]] (1,451,520) take 4.9-5.7 s
+# and 284 MB (7.8-8.7 s and 601 MB), and ladders 1..9 (3,628,800) 15 s and
+# 591 MB (same host, fresh process each). Degree alone would not do: a
+# 1200-deep ladder has only 1201 terms.
 MAX_COPRODUCT_TERMS = 1_000_000
 
 # The largest m + n that relation accepts, with or without --verify. At the
@@ -147,17 +173,25 @@ MAX_COPRODUCT_TERMS = 1_000_000
 # m = n = 20 from Python), but one cap keeps the command's budget simple.
 MAX_RELATION_DEGREE = 13
 
+# The largest degree that trees and forests accept with --count-only. The
+# count needs no enumeration, but its recurrence convolves n big integers
+# for each n up to the degree: trees 2000 --count-only takes 2.1-2.7 s and
+# 17 MB, trees 2500 6.8 s and trees 3000 12 s (2-core x86-64 host, Python
+# 3.11); forests d counts the trees of degree d + 1.
+MAX_COUNT_DEGREE = 2000
+
 # The largest degree that the listings accept: trees and forests without
 # --count-only, and basis, which lists 2^(d-1) forests. With --matrix, basis
 # also builds the dense 2^(d-1) x 2^(d-1) matrix of sigma values; with
 # --check-mod2 it packs their parities into 2^(d-1) bit rows and takes one
 # GF(2) rank. At the caps, trees 16 takes 4.2-5.5 s and 213 MB, forests 15
 # 3.1-3.7 s and 144 MB, basis 19 7.1 s and 216 MB, basis 11 --check-mod2
-# 2.4-2.9 s and 70 MB, and basis 11 --matrix 2.5-3.8 s and 156 MB; one
-# degree more takes 14 s and 510 MB (trees 17), 8.7 s and 356 MB (forests
-# 16), 14 s and 416 MB (basis 20), 10-12 s and 244 MB (basis 12
-# --check-mod2) and 9.3-12 s and 589 MB (basis 12 --matrix) on the same
-# host (two runs each, child address space limited to 3 GB).
+# 2.4-2.9 s and 70 MB, and basis 11 --matrix 2.1-3.3 s and 87 MB (170 MB
+# with --json); one degree more takes 14 s and 510 MB (trees 17), 8.7 s
+# and 356 MB (forests 16), 14 s and 416 MB (basis 20), 10-12 s and 244 MB
+# (basis 12 --check-mod2) and 8.0-12 s and 311 MB (639 MB with --json;
+# basis 12 --matrix) on the same host (two or three runs each, child
+# address space limited to 3 GB).
 MAX_TREE_DEGREE = 16
 MAX_FOREST_DEGREE = 15
 MAX_BASIS_DEGREE = 19
@@ -199,40 +233,34 @@ def _cmd_coproduct(args) -> int:
     _check_degree(_coproduct_terms(elem), "MAX_COPRODUCT_TERMS", "coproduct term count")
     result = coproduct(elem)
     text = print_tensor(result)
-    _emit(
-        args,
-        [text],
-        {
-            "input": print_helem(elem),
-            "result": text,
-            "terms": [
-                {"left": f1.encoding, "right": f2.encoding, "coeff": str(c)}
-                for (f1, f2), c in sorted(
-                    result.terms.items(),
-                    key=lambda kv: (-kv[0][0].degree, kv[0][0].encoding, kv[0][1].encoding),
-                )
-            ],
-        },
-    )
-    return 0
+    return _emit(args, [text], lambda: {
+        "input": print_helem(elem),
+        "result": text,
+        "terms": [
+            {"left": f1.encoding, "right": f2.encoding, "coeff": str(c)}
+            for (f1, f2), c in sorted(
+                result.terms.items(),
+                key=lambda kv: (-kv[0][0].degree, kv[0][0].encoding, kv[0][1].encoding),
+            )
+        ],
+    })
 
 
 def _cmd_apply(args) -> int:
     elem = parse_helem(args.element)
     poly = parse_poly(args.poly)
     _check_degree(elem.max_degree() + poly.max_degree())
-    result = rtm_apply(elem, poly)
-    text = print_poly(result)
-    _emit(args, [text], {"input": print_helem(elem), "poly": print_poly(poly), "result": text})
-    return 0
+    text = print_poly(rtm_apply(elem, poly))
+    return _emit(args, [text], lambda: {
+        "input": print_helem(elem), "poly": print_poly(poly), "result": text
+    })
 
 
 def _cmd_sigma(args) -> int:
     elem = parse_helem(args.element)
     _check_degree(elem.max_degree())
     text = print_poly(sigma(elem))
-    _emit(args, [text], {"input": print_helem(elem), "result": text})
-    return 0
+    return _emit(args, [text], lambda: {"input": print_helem(elem), "result": text})
 
 
 def _cmd_diamond(args) -> int:
@@ -240,33 +268,23 @@ def _cmd_diamond(args) -> int:
     right = parse_poly(args.right)
     _check_degree(left.max_degree() + right.max_degree())
     text = print_poly(diamond(left, right))
-    _emit(
-        args,
-        [text],
-        {"left": print_poly(left), "right": print_poly(right), "result": text},
-    )
-    return 0
+    return _emit(args, [text], lambda: {
+        "left": print_poly(left), "right": print_poly(right), "result": text
+    })
 
 
 def _cmd_relation(args) -> int:
     _check_degree(args.m + args.n, "MAX_RELATION_DEGREE", "m+n")
     report = verify_fmn(args.m, args.n) if args.verify else None
-    relation_text = print_helem(report.relation if report else build_fmn(args.m, args.n))
-    lines = [f"f_{args.m},{args.n} = {relation_text}"]
-    payload: dict = {"m": args.m, "n": args.n, "relation": relation_text}
-    if args.verify:
-        lines += [
-            f"sigma_is_zero: {report.sigma_is_zero}",
-            f"rho_x_is_zero: {report.rho_x_is_zero}",
-            f"r_identity_holds: {report.r_identity_holds}",
-        ]
-        payload.update(
-            sigma_is_zero=report.sigma_is_zero,
-            rho_x_is_zero=report.rho_x_is_zero,
-            r_identity_holds=report.r_identity_holds,
-        )
-    _emit(args, lines, payload)
-    return 0 if (report is None or report.all_ok) else 1
+    text = print_helem(report.relation if report else build_fmn(args.m, args.n))
+    names = ("sigma_is_zero", "rho_x_is_zero", "r_identity_holds")
+    checks = {name: getattr(report, name) for name in names} if report else {}
+    return _emit(
+        args,
+        [f"f_{args.m},{args.n} = {text}", *_fields(checks)],
+        lambda: {"m": args.m, "n": args.n, "relation": text, **checks},
+        0 if (report is None or report.all_ok) else 1,
+    )
 
 
 def _cmd_basis(args) -> int:
@@ -274,22 +292,19 @@ def _cmd_basis(args) -> int:
         raise ValueError("degree must be >= 1")
     dense = args.matrix or args.check_mod2
     _check_degree(args.degree, "MAX_BASIS_MATRIX_DEGREE" if dense else "MAX_BASIS_DEGREE", "degree")
-    forests = basis_forests(args.degree)
-    lines = [f.encoding for f in forests]
-    payload: dict = {
-        "degree": args.degree,
-        "forests": [f.encoding for f in forests],
-    }
-    if args.matrix:
-        mat = basis_matrix(args.degree)
-        lines += [" ".join(str(e) for e in row) for row in mat.entries]
-        payload["matrix"] = [[str(e) for e in row] for row in mat.entries]
-    if args.check_mod2:
-        ok = check_mod2_invertible(args.degree)
-        lines.append(f"mod2_invertible: {ok}")
-        payload["mod2_invertible"] = ok
-    _emit(args, lines, payload)
-    return 0
+    forests = [f.encoding for f in basis_forests(args.degree)]
+    rows = basis_matrix(args.degree).entries if args.matrix else []
+    mod2 = {"mod2_invertible": check_mod2_invertible(args.degree)} if args.check_mod2 else {}
+    return _emit(
+        args,
+        chain(forests, (" ".join(map(str, row)) for row in rows), _fields(mod2)),
+        lambda: {
+            "degree": args.degree,
+            "forests": forests,
+            **({"matrix": [[str(e) for e in row] for row in rows]} if args.matrix else {}),
+            **mod2,
+        },
+    )
 
 
 def _cmd_decompose(args) -> int:
@@ -298,77 +313,45 @@ def _cmd_decompose(args) -> int:
     if d is None or d < 1:
         raise ValueError("element must be homogeneous of degree >= 1")
     _check_degree(d, "MAX_DECOMPOSE_DEGREE", "degree")
-    coeffs = decompose(elem, d)
-    lines = [
-        f"{u.encoding}: {c}" for u, c in coeffs.items()
-    ]
-    _emit(
-        args,
-        lines,
-        {
-            "input": print_helem(elem),
-            "degree": d,
-            "coefficients": {u.encoding: str(c) for u, c in coeffs.items()},
-        },
-    )
-    return 0
+    coeffs = {u.encoding: str(c) for u, c in decompose(elem, d).items()}
+    return _emit(args, _fields(coeffs), lambda: {
+        "input": print_helem(elem), "degree": d, "coefficients": coeffs
+    })
 
 
 def _cmd_kernel(args) -> int:
     _check_degree(args.degree, "MAX_DENSE_DEGREE", "degree")
-    kernel = sigma_kernel(args.degree)
-    lines = [print_helem(k) for k in kernel] or ["(empty)"]
-    _emit(
+    texts = [print_helem(k) for k in sigma_kernel(args.degree)]
+    return _emit(
         args,
-        [f"dimension: {len(kernel)}"] + lines,
-        {
-            "degree": args.degree,
-            "dimension": len(kernel),
-            "basis": [print_helem(k) for k in kernel],
-        },
+        [f"dimension: {len(texts)}", *(texts or ["(empty)"])],
+        lambda: {"degree": args.degree, "dimension": len(texts), "basis": texts},
     )
-    return 0
 
 
 def _cmd_selfcheck(args) -> int:
     if args.max_degree < 0:
         raise ValueError("--max-degree must be >= 0")
     results = list(run_selfcheck(args.max_degree))
-    lines = [f"{'FAIL' if w else 'ok  '} {name}" for name, w in results]
     witnesses = {
         name: dict(zip(("case", "got", "want"), map(repr, w))) for name, w in results if w
     }
     for name, w in witnesses.items():
         print(f"FAIL {name}: case {w['case']} got {w['got']} want {w['want']}", file=sys.stderr)
-    lines.append("selfcheck FAILED" if witnesses else "selfcheck passed")
-    payload = {
-        "max_degree": args.max_degree,
-        "checks": {name: not w for name, w in results},
-        "passed": not witnesses,
-    }
-    if witnesses:
-        payload["witnesses"] = witnesses
-    _emit(args, lines, payload)
-    return 1 if witnesses else 0
-
-
-_DISPATCH = {
-    "trees": lambda args: _listing(
-        args, count_trees, enumerate_trees, "trees", "MAX_TREE_DEGREE"
-    ),
-    "forests": lambda args: _listing(
-        args, count_forests, enumerate_forests, "forests", "MAX_FOREST_DEGREE"
-    ),
-    "coproduct": _cmd_coproduct,
-    "apply": _cmd_apply,
-    "sigma": _cmd_sigma,
-    "diamond": _cmd_diamond,
-    "relation": _cmd_relation,
-    "basis": _cmd_basis,
-    "decompose": _cmd_decompose,
-    "kernel": _cmd_kernel,
-    "selfcheck": _cmd_selfcheck,
-}
+    return _emit(
+        args,
+        [
+            *(f"{'FAIL' if w else 'ok  '} {name}" for name, w in results),
+            "selfcheck FAILED" if witnesses else "selfcheck passed",
+        ],
+        lambda: {
+            "max_degree": args.max_degree,
+            "checks": {name: not w for name, w in results},
+            "passed": not witnesses,
+            **({"witnesses": witnesses} if witnesses else {}),
+        },
+        1 if witnesses else 0,
+    )
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -378,7 +361,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args)
+        return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

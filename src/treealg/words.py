@@ -17,13 +17,13 @@ cheaper than the concatenation it replaces. The tables are caches like the
 """
 from __future__ import annotations
 
+import operator
 import sys
 from typing import NamedTuple
 
 from .lincomb import (
     LinComb,
     Scalar,
-    add_concat_into,
     format_terms,
     parse_terms,
     read_rational,
@@ -93,16 +93,12 @@ class Poly(LinComb):
 
     def __mul__(self, other: "Poly") -> "Poly":
         """Concatenation product (noncommutative)."""
-        if type(other) is not Poly:
-            return NotImplemented
-        if self.homogeneous_degree() is not None:
+        if type(other) is Poly and self.homogeneous_degree() is not None:
             # left words of one length: u + v determines u and v, so every
             # product is its own term and none is zero
             right = other.terms.items()
             return Poly._wrap({u + v: a * b for u, a in self.terms.items() for v, b in right})
-        acc: dict[str, Scalar] = {}
-        add_concat_into(acc, self.terms, other.terms)
-        return Poly(acc)
+        return self._product(other, operator.add)
 
     def __repr__(self) -> str:
         return f"Poly({print_poly(self)!r})"

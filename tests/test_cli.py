@@ -152,6 +152,21 @@ def _run_module(*argv, preexec_fn=None):
 
 
 class TestModuleEntryPoint:
+    def test_import_treealg_loads_no_cli(self):
+        # the library's importers (perfbench's children among them) do not
+        # pay for compiling the CLI or the selfcheck suite
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, treealg; print(*sys.modules, sep='\\n')"],
+            capture_output=True,
+            text=True,
+            env=_module_env(),
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        loaded = set(done.stdout.split())
+        assert "treealg.linalg" in loaded
+        assert not {"treealg.cli", "treealg.selfcheck"} & loaded
+
     def test_python_dash_m(self):
         done = _run_module("sigma", "[[]]")
         assert done.returncode == 0
@@ -374,6 +389,10 @@ class TestErrors:
             # the product of ladders 1..9, 98 characters: 10! terms
             (("coproduct", " ".join("[" * k + "]" * k for k in range(1, 10))),
              "coproduct term count", 3628800, "MAX_COPRODUCT_TERMS"),
+            (("trees", str(cli.MAX_COUNT_DEGREE + 1), "--count-only"), "degree",
+             cli.MAX_COUNT_DEGREE + 1, "MAX_COUNT_DEGREE"),
+            (("--json", "forests", "100000", "--count-only"), "degree", 100000,
+             "MAX_COUNT_DEGREE"),
         ],
     )
     def test_budget_above_cap(self, argv, kind, degree, cap):
@@ -437,6 +456,60 @@ class TestCoproductBudget:
         code, out, err = invoke(capsys, "coproduct", leaves)
         assert (code, err) == (0, "")
         assert out.count("(x)") == 41
+
+
+class TestSingleRendering:
+    """Each command builds only the rendering asked for: text or --json."""
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_kernel_prints_each_vector_once(self, capsys, monkeypatch, mode):
+        calls = []
+        print_helem = cli.print_helem
+        monkeypatch.setattr(cli, "print_helem", lambda k: calls.append(k) or print_helem(k))
+        code, out, err = invoke(capsys, *mode, "kernel", "6")
+        assert (code, err) == (0, "")
+        assert len(calls) == len(treealg.sigma_kernel(6)) == 16
+        rendered = json.loads(out)["basis"] if mode else out.splitlines()[1:]
+        assert rendered == list(map(print_helem, calls))
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_text_coproduct_builds_no_term_list(self, capsys, monkeypatch, mode):
+        # print_tensor reads the terms by key; only the JSON term list asks
+        # for their items
+        listed = []
+
+        class Terms(dict):
+            def items(self):
+                listed.append(len(self))
+                return super().items()
+
+        coproduct = cli.coproduct
+        monkeypatch.setattr(
+            cli, "coproduct", lambda e: treealg.TensorElem._wrap(Terms(coproduct(e).terms))
+        )
+        element = "[[]] [] - 2*[]"
+        code, out, err = invoke(capsys, *mode, "coproduct", element)
+        assert (code, err) == (0, "")
+        assert listed == ([8] if mode else [])
+        rendered = json.loads(out)["result"] if mode else out.rstrip("\n")
+        assert rendered == treealg.print_tensor(coproduct(treealg.parse_helem(element)))
+
+    @pytest.mark.parametrize("argv", [c["argv"] for c in GOLDEN if c["argv"][0] != "--json"],
+                             ids=" ".join)
+    def test_text_mode_never_builds_the_payload(self, capsys, monkeypatch, argv):
+        built = []
+        emit = cli._emit
+        monkeypatch.setattr(
+            cli,
+            "_emit",
+            lambda args, lines, payload, code=0: emit(
+                args, lines, lambda: built.append(args.command) or payload(), code
+            ),
+        )
+        code, _, _ = invoke(capsys, *argv)
+        assert (code, built) == (0, [])
+        code, _, _ = invoke(capsys, "--json", *argv)
+        assert (code, built) == (0, [argv[0]])
 
 
 class TestDeterminism:

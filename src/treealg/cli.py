@@ -186,10 +186,10 @@ MAX_COUNT_DEGREE = 2000
 # --check-mod2 it packs their parities into 2^(d-1) bit rows and takes one
 # GF(2) rank. At the caps, trees 16 takes 4.2-5.5 s and 213 MB, forests 15
 # 3.1-3.7 s and 144 MB, basis 19 7.1 s and 216 MB, basis 11 --check-mod2
-# 2.4-2.9 s and 70 MB, and basis 11 --matrix 2.1-3.3 s and 87 MB (170 MB
+# 0.8 s and 70 MB, and basis 11 --matrix 0.9-1.1 s and 89 MB (171 MB
 # with --json); one degree more takes 14 s and 510 MB (trees 17), 8.7 s
-# and 356 MB (forests 16), 14 s and 416 MB (basis 20), 10-12 s and 244 MB
-# (basis 12 --check-mod2) and 8.0-12 s and 311 MB (639 MB with --json;
+# and 356 MB (forests 16), 14 s and 416 MB (basis 20), 2.2-2.8 s and 244 MB
+# (basis 12 --check-mod2) and 3.1-3.4 s and 320 MB (642 MB with --json;
 # basis 12 --matrix) on the same host (two or three runs each, child
 # address space limited to 3 GB).
 MAX_TREE_DEGREE = 16

@@ -12,7 +12,7 @@ and extended bilinearly. ``sigma`` sends a forest to its polynomial value:
 the leaf goes to y, grafting acts by the degree-raising operator, and a
 product of trees goes to the diamond product of their values. A product
 leaf·u with u nonempty goes to y ◇ sigma(u) = T sigma(u), which
-``words.op_Y`` gives in closed form (its docstring proves T = · ◇ y).
+``words.op_Y_dense`` gives on V_(deg u) (``op_Y`` proves T = · ◇ y).
 
 The product is commutative, so word products are cached once per
 unordered pair: ``_diamond_words`` answers the empty-word cases and puts
@@ -26,10 +26,10 @@ trees the T rule, any other forest the diamond product of its last tree's
 value with that of the trees before it. Both caches are
 ``functools.cache`` (``cache_info()``, ``cache_clear()``).
 ``_diamond_pair`` appends its last letters through the word tables of
-``words``, and ``op_Y`` interns the words it keeps, so every word in either
-cache is the one interned ``str`` for it. Every sum accumulates in place
-into one fresh dict, all-``Fraction`` coefficients are summed in ints
-(``lincomb``), and cached values are never mutated.
+``words``, and ``op_Y_dense`` writes the words of the V_n table, so every
+word in either cache is the one interned ``str`` for it. Every sum
+accumulates in place into one fresh dict, all-``Fraction`` coefficients
+are summed in ints (``lincomb``), and cached values are never mutated.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from functools import cache
 from .hopf import HElem
 from .lincomb import Scalar, add_into, linear, numerators, over
 from .trees import Forest, LEAF
-from .words import APPEND_X, APPEND_Y, ONE, Poly, Y, op_R, op_Y
+from .words import APPEND_X, APPEND_Y, ONE, Poly, Y, op_R, op_Y_dense
 
 _APPEND = {"x": APPEND_X, "y": APPEND_Y}
 _APPEND_FLIP = {"x": APPEND_Y, "y": APPEND_X}
@@ -103,8 +103,8 @@ def sigma_forest(f: Forest) -> Poly:
         t = f.trees[0]
         return Y if t is LEAF else op_R(sigma_forest(t.child_forest()))
     if f.trees[0] is LEAF:
-        # sigma(leaf·u) = y <> sigma(u) = T sigma(u), in closed form
-        return op_Y(sigma_forest(Forest(f.trees[1:])))
+        # sigma(leaf·u) = y <> sigma(u) = T sigma(u), on V_(deg u)
+        return op_Y_dense(sigma_forest(Forest(f.trees[1:])), f.degree - 1)
     *init, last = f.trees
     return diamond(sigma_forest(Forest(init)), sigma_forest(last.as_forest()))
 

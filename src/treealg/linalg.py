@@ -33,12 +33,13 @@ V_(d-1) into V_d.
   K_dᵀ q = (t_uyy - 2 t_uxy)_u, where row v of K_d is
   T(vy)_uyy - 2 T(vy)_uxy over the words u of length d-2; it has at most d
   nonzeros. Then p_uy = t_uxy - T(q)_uxy.
-- Lemma C. Mod 2, T(w) = yw + Σ_i w_<i xy w_>i, so the row of K_d for
-  v = v'x is the unit vector at v, and the row for v = v'y restricted to
-  the columns ending in y is row v' of K_(d-1). Hence, with words ordered
-  by their number of trailing y's, K_d is unit triangular mod 2, and
-  det K_d is odd. ``_k_system`` checks this for every degree it builds
-  and raises ArithmeticError otherwise.
+- Lemma C. Mod 2, T(w) = yw + Σ_i w_<i xy w_>i (on word indices, the map
+  of ``op_Y_dense``), so the row of K_d for v = v'x is the unit vector at
+  v, and the row for v = v'y restricted to the columns ending in y is row
+  v' of K_(d-1). Hence, with words ordered by their number of trailing
+  y's, K_d is unit triangular mod 2, and det K_d is odd. ``_k_system``
+  checks this for every degree it builds and raises ArithmeticError
+  otherwise.
 
 Each K_d system is solved exactly by 2-adic (Dixon) lifting. Start from
 x = 0 and r = b. At step k, y solves K_dᵀ y = r mod 2, by substitution in
@@ -55,14 +56,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import product
 from math import lcm
 from operator import add
 
 from .diamond import sigma, sigma_forest
 from .hopf import HElem
 from .trees import EMPTY_FOREST, Forest, LEAF, bplus, enumerate_forests, forest_product
-from .words import Poly, op_Y
+from .words import coefficient_list, word_index, words_ending_in_y
 
 _INT = {int}
 
@@ -224,39 +224,19 @@ def basis_forests(d: int) -> tuple[Forest, ...]:
     return tuple(sorted(grown, key=lambda f: f.encoding))
 
 
-def words_ending_in_y(d: int) -> tuple[str, ...]:
-    """All degree-d words ending in y, lexicographic with x < y."""
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    return tuple("".join(p) + "y" for p in product("xy", repeat=d - 1))
-
-
-def _word_index(d: int) -> dict[str, int]:
-    """The column of each word of ``words_ending_in_y(d)``."""
-    return {w: i for i, w in enumerate(words_ending_in_y(d))}
-
-
-def _word_coeffs(p: Poly, index: dict[str, int]) -> list[Fraction | int]:
-    coeffs: list[Fraction | int] = [0] * len(index)
-    for w, c in p.terms.items():
-        coeffs[index[w]] = c
-    return coeffs
-
-
 def basis_matrix(d: int) -> RationalMatrix:
     """Rows: polynomial values of the degree-d basis family, expressed over
     the y-ending word basis (lexicographic columns)."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    index = _word_index(d)
-    return RationalMatrix([_word_coeffs(sigma_forest(u), index) for u in basis_forests(d)])
+    return RationalMatrix([coefficient_list(sigma_forest(u), d) for u in basis_forests(d)])
 
 
 def _basis_parities(d: int) -> BitMatrix:
     """``basis_matrix(d).mod2()`` straight from the sigma values: bit c of
     row r is set where sigma of the r-th basis forest has an odd
     coefficient at the c-th word ending in y."""
-    index = _word_index(d)
+    index = word_index(d)
     return BitMatrix(
         [
             sum(1 << index[w] for w, c in sigma_forest(u).terms.items() if c & 1)
@@ -284,12 +264,19 @@ def _trailing_ys(u: int) -> int:
 
 @cache
 def _t_rows(d: int) -> list[list[tuple[int, int]]]:
-    """Row v, d >= 2: T(vy) for the v-th word vy of V_(d-1), as (index in
-    V_d, coefficient) pairs."""
-    index = _word_index(d)
+    """Row u, d >= 2: T(vy) for the u-th word vy of V_(d-1), as (index in
+    V_d, coefficient) pairs, by the index map of ``op_Y_dense``."""
+    top = 1 << (d - 2)
+    at = list(range(2 * top))  # one int per index of V_d, shared by every row
     return [
-        [(index[w], c) for w, c in op_Y(Poly._wrap({vy: 1})).terms.items()]
-        for vy in words_ending_in_y(d - 1)
+        [(at[top | u], 1), (at[u << 1], -1)] + [
+            (
+                at[((u >> (s + 1)) << (s + 2)) | (1 << s) | (u & ((1 << s) - 1))],
+                -1 if u >> s & 1 else 1,
+            )
+            for s in range(d - 2)
+        ]
+        for u in range(top)
     ]
 
 
@@ -419,7 +406,7 @@ def decompose(f: HElem, d: int) -> dict[Forest, Fraction]:
     deg = f.homogeneous_degree()
     if deg is None or (not f.is_zero() and deg != d):
         raise ValueError(f"input is not {d}-homogeneous")
-    target = _word_coeffs(sigma(f), _word_index(d))
+    target = coefficient_list(sigma(f), d)
     den = lcm(*(c.denominator for c in target))
     coords, scale = _coords([c.numerator * (den // c.denominator) for c in target], d)
     return {u: Fraction(c, den * scale) for u, c in zip(basis_forests(d), coords)}
@@ -432,9 +419,8 @@ def sigma_kernel(d: int) -> list[HElem]:
     if d < 1:
         raise ValueError("degree must be >= 1")
     forests = enumerate_forests(d)
-    index = _word_index(d)
     # columns indexed by forests, rows by word basis
-    columns = [_word_coeffs(sigma_forest(f), index) for f in forests]
+    columns = [coefficient_list(sigma_forest(f), d) for f in forests]
     mat = RationalMatrix([list(row) for row in zip(*columns)])
     return [
         HElem({f: c for f, c in zip(forests, vec) if c})

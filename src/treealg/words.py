@@ -17,8 +17,10 @@ cheaper than the concatenation it replaces. The tables are caches like the
 """
 from __future__ import annotations
 
-import operator
 import sys
+from functools import cache
+from itertools import product
+from operator import add, sub
 from typing import NamedTuple
 
 from .lincomb import (
@@ -98,7 +100,7 @@ class Poly(LinComb):
             # product is its own term and none is zero
             right = other.terms.items()
             return Poly._wrap({u + v: a * b for u, a in self.terms.items() for v, b in right})
-        return self._product(other, operator.add)
+        return self._product(other, add)
 
     def __repr__(self) -> str:
         return f"Poly({print_poly(self)!r})"
@@ -124,6 +126,7 @@ def op_Y(v: Poly) -> Poly:
     """The operator T = · ◇ y in closed form: each term c*w becomes
     c*yw + Σ_i s_i c*w_<i xy w_>i, with s_i = 1 where w_i = x and -1 where
     w_i = y. Every word it keeps is interned, as in the diamond memo.
+    ``op_Y_dense`` is the same T on V_n, by slices of a coefficient list.
 
     Proof that T(w) = w ◇ y for every word w. Take the right factor y = 1·y
     in the diamond rules: 1 ◇ y = y, vx ◇ y = (v ◇ y)x + (vx ◇ 1)y and
@@ -142,6 +145,57 @@ def op_Y(v: Poly) -> Poly:
             out[k] = get(k, 0) + (c if a == "x" else -c)
     # the pruning pass interns each surviving word
     return Poly._wrap({sys.intern(k): c for k, c in out.items() if c})
+
+
+@cache
+def words_ending_in_y(n: int) -> tuple[str, ...]:
+    """V_n: the interned words of length n >= 1 that end in y, lexicographic
+    with x < y: a word's index is its first n - 1 letters as bits, x = 0."""
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    return tuple(sys.intern("".join(p) + "y") for p in product("xy", repeat=n - 1))
+
+
+@cache
+def word_index(n: int) -> dict[str, int]:
+    """The index of each word of ``words_ending_in_y(n)``."""
+    return {w: i for i, w in enumerate(words_ending_in_y(n))}
+
+
+def coefficient_list(v: Poly, n: int) -> list[Scalar]:
+    """v's coefficients over ``words_ending_in_y(n)``, 0 where v has none."""
+    index = word_index(n)
+    out: list[Scalar] = [0] * len(index)
+    for w, c in v.terms.items():
+        out[index[w]] = c
+    return out
+
+
+def op_Y_dense(v: Poly, n: int) -> Poly:
+    """``op_Y(v)`` for v in V_n, n >= 1, by slices of its coefficient list.
+
+    The index map. Let w = a_0 ... a_(n-2) y have index u (bits a_i). In
+    T(w) = yw + Σ_i s_i w_<i xy w_>i, yw has index (1 << (n-1)) | u: y·V_n
+    fills the top half. The last letter y gives -w_<(n-1) xy at u << 1.
+    Position i < n - 1, with s = n - 2 - i letters after it, splits u into
+    p·a_i·r; its term p·xy·r, sign -1 where a_i (bit s) is set, has index
+    ((u >> (s+1)) << (s+2)) | (1 << s) | (u & ((1 << s) - 1)), so out[p·01·r]
+    gains v[p·0·r] - v[p·1·r]: 2^i blocks of 2^s or 2^s strides of 2^i;
+    each position takes the fewer, at most 2^((n-2)/2) ``map`` calls."""
+    c = coefficient_list(v, n)
+    out = [0] * len(c) + c
+    out[0::2] = map(sub, out[0::2], c)
+    for s in range(n - 1):
+        lo, step = 1 << s, 2 << s
+        if n - 2 - s <= s:
+            for a in range(0, len(c), step):
+                o = 2 * a + lo
+                out[o:o + lo] = map(add, out[o:o + lo], map(sub, c[a:a + lo], c[a + lo:a + step]))
+        else:
+            for r in range(lo):
+                o = slice(lo + r, None, 2 * step)
+                out[o] = map(add, out[o], map(sub, c[r::step], c[lo + r::step]))
+    return Poly._wrap({w: e for w, e in zip(words_ending_in_y(n + 1), out) if e})
 
 
 def _poly_term(w: str, mag: Scalar) -> str:

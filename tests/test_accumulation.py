@@ -390,7 +390,7 @@ class TestColdAndWarm:
         assert set(names) >= {
             "_diamond_pair", "sigma_forest", "_on_word", "_right_factors", "_ladder_poly",
             "_pieces", "enumerate_trees", "enumerate_forests", "basis_forests", "_k_system",
-            "APPEND_X", "APPEND_Y", "_R_XY", "_R_YY",
+            "APPEND_X", "APPEND_Y", "_R_XY", "_R_YY", "words_ending_in_y", "word_index",
         }
         assert all(fn.cache_info().currsize for fn in names.values())
         assert hopf._FOREST_DELTA

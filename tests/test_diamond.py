@@ -1,10 +1,12 @@
 import importlib
 import random
+import sys
 
 from treealg import (
     Forest,
     HElem,
     LEAF,
+    basis_forests,
     diamond,
     enumerate_forests,
     ladder,
@@ -14,7 +16,7 @@ from treealg import (
     sigma,
     sigma_forest,
 )
-from treealg.words import Poly, Y, Z, op_R
+from treealg.words import Poly, Y, Z, op_R, op_Y
 
 from conftest import all_words, clear_caches
 
@@ -182,11 +184,39 @@ def reference_sigma(f, memo):
 
 class TestLeafRule:
     def test_against_grafting_and_diamond_alone(self):
-        # sigma_forest takes sigma(leaf·u) = T sigma(u) by op_Y
+        # sigma_forest takes sigma(leaf·u) = T sigma(u) by op_Y_dense
         memo = {}
         for d in range(9):
             for f in enumerate_forests(d):
                 assert sigma_forest(f) == reference_sigma(f, memo), f
+
+    def test_needs_no_sparse_T(self, monkeypatch):
+        # op_Y stays the reference: sigma of the basis family and of every
+        # forest with a leaf factor runs from cold memos with it unusable
+        def unusable(v):
+            raise AssertionError("op_Y called")
+
+        bound = [
+            (module, attr)
+            for name, module in list(sys.modules.items())
+            if name == "treealg" or name.startswith("treealg.")
+            for attr, obj in list(vars(module).items())
+            if obj is op_Y
+        ]
+        assert len(bound) >= 2  # treealg.op_Y and treealg.words.op_Y
+        for module, attr in bound:
+            monkeypatch.setattr(module, attr, unusable)
+        clear_caches()
+        try:
+            for d in range(1, 9):
+                for f in basis_forests(d):
+                    sigma_forest(f)
+            for d in range(2, 8):
+                for f in enumerate_forests(d):
+                    if f.trees[0] is LEAF and len(f.trees) > 1:
+                        assert sigma_forest(f).homogeneous_degree() == d
+        finally:
+            clear_caches()
 
     def test_leaf_factors_fill_no_diamond_memo(self):
         entries = diamond_module._diamond_pair.cache_info

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import cache
@@ -23,6 +24,7 @@ from treealg import (
     sigma_kernel,
     words_ending_in_y,
 )
+from treealg.words import Poly, op_Y
 
 
 class TestRationalMatrix:
@@ -269,6 +271,28 @@ class TestBasisMatrix:
 
     def test_word_basis_order(self):
         assert words_ending_in_y(3) == ("xxy", "xyy", "yxy", "yyy")
+
+
+class TestWordTables:
+    def test_against_the_product_definition(self):
+        for d in range(1, 13):
+            want = tuple("".join(p) + "y" for p in itertools.product("xy", repeat=d - 1))
+            got = words_ending_in_y(d)
+            assert type(got) is tuple and got == want
+            assert words_ending_in_y(d) is got
+            assert linalg.word_index(d) == {w: i for i, w in enumerate(want)}
+        for d in (0, -1):
+            with pytest.raises(ValueError, match="degree must be >= 1"):
+                words_ending_in_y(d)
+
+    def test_t_rows_are_the_op_Y_rows(self):
+        for d in range(2, 11):
+            index = linalg.word_index(d)
+            want = [
+                {(index[w], c) for w, c in op_Y(Poly.from_word(vy)).terms.items()}
+                for vy in words_ending_in_y(d - 1)
+            ]
+            assert [set(row) for row in linalg._t_rows(d)] == want, d
 
 
 class TestMod2Certificate:

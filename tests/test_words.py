@@ -4,19 +4,22 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import all_words, clear_caches
 
-from treealg.words import APPEND_X, APPEND_Y, _R_XY, _R_YY
+from treealg import words as words_module
+from treealg.words import APPEND_X, APPEND_Y, _R_XY, _R_YY, op_Y_dense, words_ending_in_y
 from treealg import (
     Poly,
     PolySyntaxError,
     diamond,
+    enumerate_forests,
     op_R,
     op_Y,
     parse_poly,
     print_poly,
+    sigma_forest,
 )
 
 words = st.text(alphabet="xy", max_size=5)
@@ -147,6 +150,78 @@ class TestRightOperators:
             assert {w: type(c) for w, c in out.terms.items()} == {
                 w: type(c) for w, c in expected.terms.items()
             }
+
+
+def _types(p):
+    return {w: type(c) for w, c in p.terms.items()}
+
+
+V_COEFFS = st.one_of(
+    st.integers(-3, 3).filter(bool), st.fractions(-2, 2, max_denominator=3).filter(bool)
+)
+
+
+@st.composite
+def v_polys(draw):
+    """(n, v) with v in V_n, n <= 9: a few words, or every word of V_n, plus
+    pairs p·x·r, p·y·r with equal coefficients, whose images cancel at p·xy·r."""
+    n = draw(st.integers(1, 9))
+    vn = words_ending_in_y(n)
+    if draw(st.booleans()):
+        rng = draw(st.randoms(use_true_random=False))
+        terms = {w: rng.choice([-2, -1, 1, 3, Fraction(1, 2), Fraction(-2, 3)]) for w in vn}
+    else:
+        terms = draw(st.dictionaries(st.sampled_from(vn), V_COEFFS, max_size=6))
+    if n >= 2:
+        pairs = st.tuples(st.integers(0, len(vn) - 1), st.integers(0, n - 2), V_COEFFS)
+        for u, s, c in draw(st.lists(pairs, max_size=3)):
+            terms[vn[u & ~(1 << s)]] = terms[vn[u | 1 << s]] = c
+    return n, Poly(terms)
+
+
+class TestDenseT:
+    def test_equals_op_Y_on_sigma_values(self):
+        for d in range(1, 9):
+            for f in enumerate_forests(d):
+                v = sigma_forest(f)
+                out, want = op_Y_dense(v, d), op_Y(v)
+                assert out.terms == want.terms, f
+                assert _types(out) == _types(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(v_polys())
+    def test_equals_op_Y_on_V(self, nv):
+        n, v = nv
+        out, want = op_Y_dense(v, n), op_Y(v)
+        assert out.terms == want.terms
+        assert _types(out) == _types(want)
+        table = set(map(id, words_ending_in_y(n + 1)))
+        assert all(id(w) in table for w in out.terms)
+
+    def test_cancelling_images(self):
+        # T(xy) = yxy + xyy - xxy and T(yy) = yyy - xyy - yxy
+        v = parse_poly("xy + yy")
+        assert op_Y_dense(v, 2).terms == op_Y(v).terms == {"xxy": -1, "yyy": 1}
+
+    def test_fewer_of_blocks_and_strides(self, monkeypatch):
+        # position i (s = n - 2 - i letters after it) takes min(2^i, 2^s)
+        # steps of two map calls; the last letter takes one
+        calls = []
+
+        def counting_map(*args):
+            calls.append(None)
+            return map(*args)
+
+        monkeypatch.setattr(words_module, "map", counting_map, raising=False)
+        for n in range(1, 13):
+            calls.clear()
+            op_Y_dense(Poly({w: 1 for w in words_ending_in_y(n)}), n)
+            assert len(calls) == 1 + 2 * sum(min(2 ** (n - 2 - s), 2 ** s) for s in range(n - 1)), n
+
+    def test_word_outside_V_n(self):
+        for v, n in (("x", 1), ("yx", 2), ("xy", 3)):
+            with pytest.raises(KeyError):
+                op_Y_dense(parse_poly(v), n)
 
 
 class TestDegrees:

@@ -132,13 +132,14 @@ def _listing(args) -> int:
 
 # The largest output degree that sigma, apply and diamond accept: forest
 # degree, forest degree plus word length, and the sum of the word lengths.
-# Term counts grow exponentially with it, and products of [[]] cost far more
-# than products of leaves. At the cap, the slowest of the products of [[]]
-# and their mixes with leaves, sigma of [[]] x 8, takes 2.3-3.4 s and
-# 213 MB; one degree more, sigma of [[]] x 8 [], takes 8.2 s and 431 MB,
-# and at degree 18 sigma of [[]] x 9 takes 19 s and 870 MB (2-core x86-64
-# host, Python 3.11). Products of deeper ladders cost more again: sigma of
-# [[[[]]]] x 4, at the cap, takes 30 s and 1.8 GB. The cap bounds degree,
+# Term counts grow exponentially with it. sigma multiplies tree values on
+# coefficient lists: at the cap, sigma of [[]] x 8 takes 0.23-0.35 s and
+# 31 MB, and sigma of [[[[]]]] x 4 0.29-0.36 s and 28 MB; with the cap
+# raised, sigma of [[]] x 9 (degree 18) takes 0.7-0.8 s and 81 MB, and
+# sigma of [[]] x 10 (degree 20) 4.6-5.2 s and 270 MB (2-core x86-64 host,
+# Python 3.11, fresh process each). diamond runs the sparse word recursion on any polynomial
+# and binds the cap: at the cap, the product of sigma([[]] x 4) with itself
+# runs out of a 3 GB address space after about 60 s. The cap bounds degree,
 # not work, and an input that runs out of memory exits 2 with
 # "error: out of memory".
 MAX_OUTPUT_DEGREE = 16
@@ -149,11 +150,11 @@ MAX_OUTPUT_DEGREE = 16
 # after 200 s (2-core x86-64 host, Python 3.11).
 MAX_DENSE_DEGREE = 9
 
-# The largest degree that decompose accepts. It takes sigma of its input
-# first, and that, not the sparse solve (about 0.5 s at the cap), bounds
-# it. At the cap, the slowest of the products of ladders and leaves,
-# ladder(5) x 2 times [[[]]] or three leaves, takes 1.8-2.1 s and 164-172 MB;
-# at degree 14, ladder(6) x 2 [[]] takes 8.4 s and 620 MB (same host).
+# The largest degree that decompose accepts. It takes sigma of its input,
+# then the sparse solve, which costs more. At the cap, ladder(5) x 2 times
+# [[[]]] takes 0.49-0.59 s and 29 MB (sigma 0.02 s of it), and ladder(5) x 2
+# times three leaves 0.31-0.44 s; with the cap raised, ladder(6) x 2 [[]]
+# (degree 14) takes 0.67-1.09 s and 45 MB (same host).
 MAX_DECOMPOSE_DEGREE = 13
 
 # The largest number of terms that coproduct expands, counted before any
@@ -167,9 +168,9 @@ MAX_DECOMPOSE_DEGREE = 13
 MAX_COPRODUCT_TERMS = 1_000_000
 
 # The largest m + n that relation accepts, with or without --verify. At the
-# cap, the slowest pair, relation 6 7 --verify, takes 3.0 s and 222 MB;
-# relation 7 7 --verify takes 8.5 s and 509 MB (2-core x86-64 host, Python
-# 3.11). Without --verify only f_{m,n} is built, which is cheap (0.1 s for
+# cap, relation 6 7 --verify takes 0.75-1.09 s and 65 MB; relation 7 7
+# --verify takes 1.5-2.4 s and 126 MB (2-core x86-64 host, Python 3.11).
+# Without --verify only f_{m,n} is built, which is cheap (0.1 s for
 # m = n = 20 from Python), but one cap keeps the command's budget simple.
 MAX_RELATION_DEGREE = 13
 

@@ -10,35 +10,71 @@ The diamond product is defined on words by recursion on last letters:
 
 and extended bilinearly. ``sigma`` sends a forest to its polynomial value:
 the leaf goes to y, grafting acts by the degree-raising operator, and a
-product of trees goes to the diamond product of their values. A product
+product of trees goes to the diamond product of their values. Every value
+of degree n lies in V_n, the words of length n that end in y. A product
 leaf·u with u nonempty goes to y ◇ sigma(u) = T sigma(u), which
-``words.op_Y_dense`` gives on V_(deg u) (``op_Y`` proves T = · ◇ y).
+``words.op_Y_dense`` gives on V_(deg u) (``op_Y`` proves T = · ◇ y); any
+other product of trees goes to ``_diamond_dense`` on V_a × V_b.
 
-The product is commutative, so word products are cached once per
-unordered pair: ``_diamond_words`` answers the empty-word cases and puts
-the longer word first, words of one length in string order, and the
-recursion runs in ``_diamond_pair`` on that orientation. (Plain string
-order would make the recursion reach more distinct pairs: 61k entries, not
-49k, for sigma of 16 leaves as a chain of diamond products, and about 20%
-more peak memory for 18 leaves.) ``sigma_forest`` caches forest values: a
-one-tree forest takes the grafting rule, a forest with a leaf and more
-trees the T rule, any other forest the diamond product of its last tree's
-value with that of the trees before it. Both caches are
-``functools.cache`` (``cache_info()``, ``cache_clear()``).
-``_diamond_pair`` appends its last letters through the word tables of
-``words``, and ``op_Y_dense`` writes the words of the V_n table, so every
-word in either cache is the one interned ``str`` for it. Every sum
-accumulates in place into one fresh dict, all-``Fraction`` coefficients
-are summed in ints (``lincomb``), and cached values are never mutated.
+The dense product. Write P = P_x x + P_y y and Q = Q_x x + Q_y y, with no
+constant terms, and D = P_x - P_y. Summing the four rules over the terms
+gives
+
+    P ◇ Q = [P_x ◇ Q - (D y) ◇ Q_x] x + [P_y ◇ Q + (D x) ◇ Q_y] y.
+
+Term by term: a state (u, w, s) stands for (u ◇ w)s. Emitting u's last
+letter p leaves (u', w, ps); emitting w's last letter q leaves (u'q̄, w', qs),
+with q̄ the other letter and sign + where p = q̄, - where p = q; 1 ◇ w = w and
+u ◇ 1 = u end a path. For v in V_a and w in V_b every state has
+|u| + |w| + |s| = a + b and is stored at the index of the word w·u·s in
+V_(a+b): that word ends in y, since v and w do and the first move emits
+one. Emitting a left letter keeps w·u·s, and so do both ends. So one list
+per j = |w| carries over from i = |u| to i - 1 unchanged, the output is
+the sum of the lists, and the only move that is not the identity on
+indices is the right one: out[w' | u'q̄ | qs] += src[w'q | u'q̄ | s] -
+src[w'q | u'q | s] (``_move_right``), col[j] from col[j + 1], for each i
+from a down to 1 and each j from b - 1 down to 0. The moves out of
+(a, b), v'y ◇ w'y = (v' ◇ w'y)y - (v'x ◇ w')y, are written into the
+initial lists. That is a·b moves of 2^(a+b-2) element pairs each, done by
+``map`` over slices along the longest of the runs s, u' and w'. Memoless
+and dense, it needs only the coefficient lists of its two factors.
+
+The public ``diamond`` is the sparse word recursion, for any polynomial:
+the action bridge's single words, some ending in x, and the reference of
+the differential tests. The product is commutative, so word products are
+cached once per unordered pair: ``_diamond_words`` answers the empty-word
+cases and puts the longer word first, words of one length in string
+order, and the recursion runs in ``_diamond_pair`` on that orientation.
+(Plain string order would make the recursion reach more distinct pairs:
+61k entries, not 49k, for the chain y ◇ ... ◇ y of 16 factors, and 243 MB
+of peak memory, not 217 MB, for 18 factors.) ``sigma_forest`` caches
+forest values. Both caches are ``functools.cache`` (``cache_info()``,
+``cache_clear()``). ``_diamond_pair`` appends its last letters through
+the word tables of ``words``, and ``op_Y_dense`` and ``_diamond_dense``
+write the words of the V_n table, so every word in either cache is the one
+interned ``str`` for it. Every sum accumulates in place into one fresh
+dict, all-``Fraction`` coefficients are summed in ints (``lincomb``), and
+cached values are never mutated.
 """
 from __future__ import annotations
 
 from functools import cache
+from operator import add, sub
 
 from .hopf import HElem
 from .lincomb import Scalar, add_into, linear, numerators, over
 from .trees import Forest, LEAF
-from .words import APPEND_X, APPEND_Y, ONE, Poly, Y, op_R, op_Y_dense
+from .words import (
+    APPEND_X,
+    APPEND_Y,
+    ONE,
+    Poly,
+    Y,
+    coefficient_list,
+    op_R,
+    op_Y_dense,
+    words_ending_in_y,
+)
 
 _APPEND = {"x": APPEND_X, "y": APPEND_Y}
 _APPEND_FLIP = {"x": APPEND_Y, "y": APPEND_X}
@@ -94,6 +130,43 @@ def diamond(v: Poly, w: Poly) -> Poly:
     return Poly._wrap(over(acc, lden * rden if lden and rden else lden or rden))
 
 
+def _move_right(out: list, src: list, i: int, j: int, t: int) -> None:
+    """out[w' | u'q̄ | qs] += src[w'q | u'q̄ | s] - src[w'q | u'q | s] for
+    q = x, y, on the indices of V_(i+j+t+2): |u'| = i - 1, |w'| = j, and s
+    has t letters before its last y. One ``map`` runs along the longest of
+    the runs s, u' and w' for each point of the other two."""
+    top = 1 << (t + i)  # the bit of q in src
+    *outer, (n, ss, ts) = sorted(
+        [(1 << t, 1, 1), (1 << (i - 1), 2 << t, 4 << t), (1 << j, 2 * top, 2 * top)]
+    )
+    (n0, s0, t0), (n1, s1, t1) = outer
+    offsets = [(k0 * s0 + k1 * s1, k0 * t0 + k1 * t1) for k0 in range(n0) for k1 in range(n1)]
+    # q = x, then q = y: the offsets of p = q̄, of p = q and of q̄q
+    for plus, minus, dest in ((1 << t, 0, 2 << t), (top, top + (1 << t), 1 << t)):
+        for o, d in offsets:
+            r = slice(dest + d, dest + d + n * ts, ts)
+            p, q = plus + o, minus + o
+            out[r] = map(add, out[r], map(sub, src[p:p + n * ss:ss], src[q:q + n * ss:ss]))
+
+
+def _diamond_dense(v: Poly, a: int, w: Poly, b: int) -> Poly:
+    """v ◇ w for v in V_a and w in V_b, a, b >= 1, on coefficient lists
+    (see the module docstring); a word outside V_a or V_b raises KeyError."""
+    cv, cw = coefficient_list(v, a), coefficient_list(w, b)
+    m, h = a + b - 1, 1 << (a - 1)
+    col = [[0] * (1 << m) for _ in range(b + 1)]
+    # v'y ◇ w'y = (v' ◇ w'y)y - (v'x ◇ w')y: the states (a - 1, b) and (a, b - 1)
+    for k, c in enumerate(cw):
+        if c:
+            col[b][(2 * k + 1) * h:(2 * k + 2) * h] = [c * e for e in cv]
+            col[b - 1][2 * k * h:(2 * k + 2) * h:2] = [-c * e for e in cv]
+    for i in range(a, 0, -1):
+        # the row i = a starts at (a, b - 1), the rows below it at (i, b)
+        for j in range(b - 1 - (i == a), -1, -1):
+            _move_right(col[j], col[j + 1], i, j, m - i - j - 1)
+    return Poly._wrap({u: e for u, e in zip(words_ending_in_y(m + 1), map(sum, zip(*col))) if e})
+
+
 @cache
 def sigma_forest(f: Forest) -> Poly:
     """The polynomial value of a single forest (diamond product of tree values)."""
@@ -106,7 +179,8 @@ def sigma_forest(f: Forest) -> Poly:
         # sigma(leaf·u) = y <> sigma(u) = T sigma(u), on V_(deg u)
         return op_Y_dense(sigma_forest(Forest(f.trees[1:])), f.degree - 1)
     *init, last = f.trees
-    return diamond(sigma_forest(Forest(init)), sigma_forest(last.as_forest()))
+    a, b = f.degree - last.degree, last.degree
+    return _diamond_dense(sigma_forest(Forest(init)), a, sigma_forest(last.as_forest()), b)
 
 
 def sigma(a: HElem) -> Poly:

@@ -13,22 +13,27 @@ same statement can be checked purely inside the word algebra via
 ``verify_r_identity``: with L_k = R^(k-1)(y) the value of ladder(k), the
 product L_m <> L_n equals the image of the sum above, term by term. Its
 right-hand side groups the terms by their power of R and applies R by
-Horner. The ladder values (``_ladder_poly``, by k) and the two diamond
-pieces of each unordered pair {i, j} (``_pieces``, by (min, max)) are
-cached with ``functools.cache`` and shared by every (m, n);
-``cache_info()`` reports their entries, hits and misses.
+Horner. L_k lies in V_k, the words of length k that end in y, so
+L_i <> L_j for i, j >= 1 is the dense product on V_i x V_j
+(``diamond._diamond_dense``), and y <> a is T a on coefficient lists
+(``words.op_Y_dense``). The ladder values (``_ladder_poly``, by k), the
+products L_i <> L_j of each unordered pair (``_ladder_product``, by
+(min, max)), which the left-hand side and the pieces share, and the two
+pieces of each pair (``_pieces``) are cached with ``functools.cache`` and
+shared by every (m, n); ``cache_info()`` reports their entries, hits and
+misses.
 """
 from __future__ import annotations
 
 from functools import cache
 from typing import NamedTuple
 
-from .diamond import diamond, sigma
+from .diamond import _diamond_dense, sigma
 from .hopf import HElem
 from .lincomb import Scalar, add_into
 from .rtm import rho_is_zero_on_x
 from .trees import Forest, LEAF, bplus, forest_product, ladder
-from .words import ONE, Poly, Y, op_R
+from .words import ONE, Poly, Y, op_R, op_Y_dense
 
 
 def build_fmn(m: int, n: int) -> HElem:
@@ -59,11 +64,20 @@ def _ladder_poly(k: int) -> Poly:
 
 
 @cache
+def _ladder_product(i: int, j: int) -> Poly:
+    """L_i <> L_j on coefficient lists, called with i <= j."""
+    return _ladder_poly(j) if i == 0 else _diamond_dense(_ladder_poly(i), i, _ladder_poly(j), j)
+
+
+@cache
 def _pieces(i: int, j: int) -> tuple[Poly, Poly]:
     """(y <> r(L_i <> L_j), y <> (L_i <> L_j)), where r is R extended to send
-    the unit to y; called with i <= j, as the pieces depend only on {i, j}."""
-    inner = diamond(_ladder_poly(i), _ladder_poly(j))
-    return diamond(Y, Y if inner == ONE else op_R(inner)), diamond(Y, inner)
+    the unit to y, by T = . <> y on V_(i+j+1) and V_(i+j); called with
+    i <= j, as the pieces depend only on {i, j}."""
+    inner, d = _ladder_product(i, j), i + j
+    if not d:
+        return op_Y_dense(Y, 1), Y
+    return op_Y_dense(op_R(inner), d + 1), op_Y_dense(inner, d)
 
 
 def _r_identity_rhs(m: int, n: int) -> Poly:
@@ -95,7 +109,7 @@ def verify_r_identity(m: int, n: int) -> bool:
     by term."""
     if m < 1 or n < 1:
         raise ValueError("both ladder lengths must be >= 1")
-    lhs = diamond(_ladder_poly(m), _ladder_poly(n))
+    lhs = _ladder_product(min(m, n), max(m, n))
     return lhs.terms == _r_identity_rhs(m, n).terms
 
 

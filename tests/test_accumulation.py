@@ -386,10 +386,12 @@ class TestColdAndWarm:
         basis_forests(4)
         enumerate_forests(3)
         decompose(HElem.from_forest(parse_forest("[] [[]]")), 3)
+        diamond(Poly.from_word("xy"), Poly.from_word("yx"))
         names = {fn.__name__: fn for fn in treealg_caches()}
         assert set(names) >= {
             "_diamond_pair", "sigma_forest", "_on_word", "_right_factors", "_ladder_poly",
-            "_pieces", "enumerate_trees", "enumerate_forests", "basis_forests", "_k_system",
+            "_ladder_product", "_pieces", "enumerate_trees", "enumerate_forests",
+            "basis_forests", "_k_system",
             "APPEND_X", "APPEND_Y", "_R_XY", "_R_YY", "words_ending_in_y", "word_index",
         }
         assert all(fn.cache_info().currsize for fn in names.values())

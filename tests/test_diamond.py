@@ -2,6 +2,9 @@ import importlib
 import random
 import sys
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
 from treealg import (
     Forest,
     HElem,
@@ -16,7 +19,8 @@ from treealg import (
     sigma,
     sigma_forest,
 )
-from treealg.words import Poly, Y, Z, op_R, op_Y
+from treealg.relations import _ladder_poly
+from treealg.words import Poly, Y, Z, op_R, op_Y, words_ending_in_y
 
 from conftest import all_words, clear_caches
 
@@ -184,7 +188,9 @@ def reference_sigma(f, memo):
 
 class TestLeafRule:
     def test_against_grafting_and_diamond_alone(self):
-        # sigma_forest takes sigma(leaf·u) = T sigma(u) by op_Y_dense
+        # sigma_forest takes sigma(leaf·u) = T sigma(u) by op_Y_dense and
+        # other products by the dense product; the reference chains the
+        # sparse diamond over the tree values
         memo = {}
         for d in range(9):
             for f in enumerate_forests(d):
@@ -218,16 +224,79 @@ class TestLeafRule:
         finally:
             clear_caches()
 
-    def test_leaf_factors_fill_no_diamond_memo(self):
-        entries = diamond_module._diamond_pair.cache_info
+    def test_sigma_fills_no_diamond_memo(self):
+        # leaf factors take T and other products the dense diamond product,
+        # so the sparse word-pair memo stays empty
+        clear_caches()
         try:
-            clear_caches()
-            sigma_forest(parse_forest("[] [] [] [] [] []"))
-            assert entries().currsize == 0
-            sigma_forest(parse_forest("[[]] [[[]]]"))
-            without_leaf = entries().currsize
-            clear_caches()
-            sigma_forest(parse_forest("[] [] [[]] [[[]]]"))
-            assert entries().currsize == without_leaf > 0
+            for d in range(9):
+                for f in enumerate_forests(d):
+                    sigma_forest(f)
+            assert sigma_forest.cache_info().currsize > 400
+            assert diamond_module._diamond_pair.cache_info().currsize == 0
         finally:
             clear_caches()
+
+
+@st.composite
+def _in_V(draw, n):
+    """v in V_n with int coefficients: a few words, or every word, plus pairs
+    p·x·r, p·y·r of opposite coefficients, or of equal ones, whose
+    contributions to some words of a product cancel."""
+    vn = words_ending_in_y(n)
+    if draw(st.booleans()):
+        rng = draw(st.randoms(use_true_random=False))
+        terms = {w: rng.choice([-3, -1, 1, 2, 5]) for w in vn}
+    else:
+        terms = draw(st.dictionaries(st.sampled_from(vn), st.integers(-3, 3), max_size=5))
+    if n >= 2:
+        pairs = st.tuples(st.integers(0, len(vn) - 1), st.integers(0, n - 2),
+                          st.integers(-2, 2), st.booleans())
+        for u, s, c, flip in draw(st.lists(pairs, max_size=3)):
+            terms[vn[u & ~(1 << s)]] = c
+            terms[vn[u | 1 << s]] = -c if flip else c
+    return Poly(terms)
+
+
+@st.composite
+def dense_pairs(draw):
+    """(a, v, b, w) with v in V_a, w in V_b and a + b <= 9."""
+    a = draw(st.integers(1, 8))
+    b = draw(st.integers(1, 9 - a))
+    return a, draw(_in_V(a)), b, draw(_in_V(b))
+
+
+class TestDenseDiamond:
+    """``_diamond_dense`` against the sparse word recursion of ``diamond``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dense_pairs())
+    @example((1, Y, 1, Y))
+    @example((2, Poly({"xy": 1, "yy": 1}), 3, Poly({"xxy": 2, "yxy": -2, "xyy": 1})))
+    @example((4, Poly({}), 2, Poly({"xy": 1})))
+    def test_equals_sparse_on_V(self, avbw):
+        a, v, b, w = avbw
+        out, want = diamond_module._diamond_dense(v, a, w, b), diamond(v, w)
+        assert out.terms == want.terms
+        assert all(type(c) is int for c in out.terms.values())
+        table = set(map(id, words_ending_in_y(a + b)))
+        assert all(id(u) in table for u in out.terms)
+
+    def test_ladder_products(self):
+        for m in range(1, 10):
+            for n in range(1, 11 - m):
+                lm, ln = _ladder_poly(m), _ladder_poly(n)
+                out = diamond_module._diamond_dense(lm, m, ln, n)
+                assert out.terms == diamond(lm, ln).terms, (m, n)
+
+    @pytest.mark.parametrize("v,a,w,b", [
+        ("x", 1, "y", 1), ("xy + yx", 2, "y", 1), ("y", 1, "xyx", 3),
+        ("y", 2, "y", 1), ("xy", 1, "y", 1), ("1", 1, "y", 1), ("y", 1, "xy", 3),
+    ])
+    def test_word_outside_V(self, v, a, w, b):
+        with pytest.raises(KeyError):
+            diamond_module._diamond_dense(parse_poly(v), a, parse_poly(w), b)
+
+    def test_degree_zero(self):
+        with pytest.raises(ValueError):
+            diamond_module._diamond_dense(Poly.one(), 0, Y, 1)

@@ -179,3 +179,14 @@ class TestWordRouteRightHandSide:
         # (3, 3) adds only {2, 2}
         assert verify_r_identity(3, 3)
         assert relations._pieces.cache_info().currsize == 8
+
+    def test_left_side_shares_the_ladder_products(self):
+        # the pieces of (2, 4) take L_i <> L_j for the seven pairs above and
+        # the left-hand side adds {2, 4}; (1, 3) then reads only these
+        clear_caches()
+        assert verify_r_identity(2, 4)
+        info = relations._ladder_product.cache_info()
+        assert info.currsize == 8
+        assert verify_r_identity(1, 3)
+        after = relations._ladder_product.cache_info()
+        assert (after.currsize, after.misses) == (info.currsize, info.misses)

@@ -18,7 +18,8 @@ from itertools import chain
 from math import comb, prod
 
 from .hopf import HElem, coproduct, parse_helem, print_helem, print_tensor
-from .diamond import diamond, sigma
+from .diamond import _diamond_dense, diamond, sigma
+from .lincomb import numerators, over
 from .linalg import (
     basis_forests,
     basis_matrix,
@@ -30,7 +31,7 @@ from .relations import build_fmn, verify_fmn
 from .rtm import rtm_apply
 from .selfcheck import run_selfcheck
 from .trees import count_forests, count_trees, enumerate_forests, enumerate_trees
-from .words import parse_poly, print_poly
+from .words import Poly, parse_poly, print_poly
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,11 +138,12 @@ def _listing(args) -> int:
 # 31 MB, and sigma of [[[[]]]] x 4 0.29-0.36 s and 28 MB; with the cap
 # raised, sigma of [[]] x 9 (degree 18) takes 0.7-0.8 s and 81 MB, and
 # sigma of [[]] x 10 (degree 20) 4.6-5.2 s and 270 MB (2-core x86-64 host,
-# Python 3.11, fresh process each). diamond runs the sparse word recursion on any polynomial
-# and binds the cap: at the cap, the product of sigma([[]] x 4) with itself
-# runs out of a 3 GB address space after about 60 s. The cap bounds degree,
-# not work, and an input that runs out of memory exits 2 with
-# "error: out of memory".
+# Python 3.11, fresh process each). diamond multiplies factors in V_a x V_b
+# on coefficient lists too: at the cap, sigma([[]] x 4) with itself takes
+# 0.39-0.45 s and 32 MB. Any other input takes the sparse word recursion,
+# which binds the cap: sigma([[]] x 4) + x^8 with itself runs out of a 3 GB
+# address space after about 100 s. The cap bounds degree, not work, and an
+# input that runs out of memory exits 2 with "error: out of memory".
 MAX_OUTPUT_DEGREE = 16
 
 # The largest degree that kernel accepts: it eliminates the matrix of sigma
@@ -168,11 +170,14 @@ MAX_DECOMPOSE_DEGREE = 13
 MAX_COPRODUCT_TERMS = 1_000_000
 
 # The largest m + n that relation accepts, with or without --verify. At the
-# cap, relation 6 7 --verify takes 0.75-1.09 s and 65 MB; relation 7 7
-# --verify takes 1.5-2.4 s and 126 MB (2-core x86-64 host, Python 3.11).
-# Without --verify only f_{m,n} is built, which is cheap (0.1 s for
-# m = n = 20 from Python), but one cap keeps the command's budget simple.
-MAX_RELATION_DEGREE = 13
+# cap, the slowest pairs, relation 5 9 --verify and 6 8 --verify, take
+# 0.61-0.82 s and 61-62 MB, and relation 7 7 --verify 0.65-0.72 s and 54 MB;
+# with the cap raised, relation 7 8 --verify (m+n = 15) takes 1.25 s and
+# 116 MB, and relation 8 8 --verify 3.6-3.8 s and 235 MB (2-core x86-64
+# host, Python 3.11, fresh process each). Without --verify only f_{m,n} is
+# built, which is cheap (0.1 s for m = n = 20 from Python), but one cap
+# keeps the command's budget simple.
+MAX_RELATION_DEGREE = 14
 
 # The largest degree that trees and forests accept with --count-only. The
 # count needs no enumeration, but its recurrence convolves n big integers
@@ -264,11 +269,25 @@ def _cmd_sigma(args) -> int:
     return _emit(args, [text], lambda: {"input": print_helem(elem), "result": text})
 
 
+def _diamond_product(left: Poly, right: Poly) -> Poly:
+    """``diamond(left, right)``, coefficient types included. For factors in
+    V_a x V_b whose numerators (``lincomb.numerators``) are all ints, it is
+    ``_diamond_dense`` on those, divided once by their denominators as
+    ``diamond`` divides its sums, and no memo is filled."""
+    a, b = left.homogeneous_degree(), right.homogeneous_degree()
+    (lv, lden), (rv, rden) = numerators(left.terms), numerators(right.terms)
+    if not (a and b and all(w[-1] == "y" for w in chain(lv, rv))
+            and all(type(c) is int for c in chain(lv.values(), rv.values()))):
+        return diamond(left, right)
+    dense = _diamond_dense(Poly._wrap(lv), a, Poly._wrap(rv), b).terms
+    return Poly._wrap(over(dense, lden * rden if lden and rden else lden or rden))
+
+
 def _cmd_diamond(args) -> int:
     left = parse_poly(args.left)
     right = parse_poly(args.right)
     _check_degree(left.max_degree() + right.max_degree())
-    text = print_poly(diamond(left, right))
+    text = print_poly(_diamond_product(left, right))
     return _emit(args, [text], lambda: {
         "left": print_poly(left), "right": print_poly(right), "result": text
     })

@@ -56,6 +56,52 @@ that drops their zero sums. Every linear extension runs through
 ``lincomb.linear``, every sum accumulates into a fresh dict, every cached
 value is built compact (no slots left by deleted keys), and cached values
 are never mutated.
+
+The value on x, on coefficient lists (``rho_is_zero_on_x``; the functions
+named below are in ``value_on_x``, which it imports on first use, so that
+the importers that never certify on x do not compile them). It uses the
+letter rules and the two steps above, never sigma. For g nonempty, g(x) is
+homogeneous of degree deg g + 1, and each of its words starts with x and
+ends in y: xy for the leaf, R keeps the first letter, and a composition
+writes the words u'hs below, which start with a prefix u' of an input word
+or with h. So g(x) = xw, w in V_(deg g), and ``_on_x`` keeps the
+coefficient list of w, indexed as ``words.words_ending_in_y``: a word's
+index is its letters between the first and the last as bits, x = 0. The
+leaf gives [1], R gives out[2u] = c, out[2u + 1] = 2c, and a product
+t·rest gives t(P), P = rest(x), by the following pass (``_tree_on``).
+
+Write a homogeneous P with no constant term as P = P_x x + P_y y. The two
+steps are linear in the word, so
+
+    f(P) = f(P_x)x + f(P_y)y + sum over f1 of  f1(P_x - P_y) H_f[f1].
+
+A state (g, u, s) stands for g(u)s: g still to act on the prefix u, after
+which comes the suffix s. The states of P start as (t, w, 1) with
+coefficient c_w. Emitting u's last letter p leaves (g, u', ps), and the sum
+adds (f1, u', hs) with c_h, signed + for p = x and - for p = y, for each
+word h of H_g[f1]; the empty forest's states are words, and a nonempty
+forest kills the empty word. As |h| = deg g - deg f1 + 1, the length
+|u| + |s| + deg g is constant, so one list per g holds its states at the
+index of the word u·s, of length n + deg t - deg g for P of length n. That
+word starts with x and ends in y, as P's words and each h do. Emitting a
+letter keeps the index, so each list carries over unchanged from prefix
+length i to i - 1, and the only move is
+
+    out_f1[u'hs] += c_h (src_g[u'xs] - src_g[u'ys])
+
+(``_add_outer``: one ``map`` along the longest of the runs u', h and s).
+The moves out of P's last letter y, with s empty, are written into the
+initial lists; then i runs from n - 1 down to 1. At each i the forests are
+visited in increasing degree, so f1 (deg f1 < deg g) has made its level-i
+move before g writes level-(i - 1) states into it. The answer is the list
+of the empty forest. Every g is a left factor of t: by coassociativity,
+and as no coproduct coefficient is negative, a left factor of a left
+factor of t is one of t's. H_g[f1] = sum c f2(x) is built from ``_on_x``
+itself (``_groups_on_x``). ``rho_is_zero_on_x`` sums the lists per degree
+and ``_vanishes_on_x`` caches the answer per combination key, so a warm
+check is one lookup. ``rtm_apply`` keeps the sparse recursion, whose memo
+the bridge's word recursions share; the two implementations share no code,
+and the tests check one against the other.
 """
 from __future__ import annotations
 
@@ -67,7 +113,7 @@ from typing import Union
 from .hopf import HElem, _forest_coproduct, coproduct
 from .lincomb import Scalar, add_concat_into, add_into, linear, numerators
 from .trees import EMPTY_FOREST, Forest, LEAF
-from .words import APPEND_X, APPEND_Y, Poly, X, op_R
+from .words import APPEND_X, APPEND_Y, Poly, op_R
 
 # a forest, or a combination of forests as a frozenset of (forest, int) pairs
 Key = Union[Forest, frozenset]
@@ -162,4 +208,7 @@ def rho_is_zero_on_x(f: HElem) -> bool:
     """
     if EMPTY_FOREST in f.terms:
         raise ValueError("input must have no degree-0 component")
-    return rtm_apply(f, X).is_zero()
+    # compiled on first use, as most importers never certify on x
+    from .value_on_x import _vanishes_on_x
+
+    return _vanishes_on_x(frozenset(numerators(f.terms)[0].items()))

@@ -118,9 +118,11 @@ def forest_product(f: Forest, g: Forest) -> Forest:
     return Forest(f.trees + g.trees)
 
 
+@cache
 def ladder(n: int, f: Forest = EMPTY_FOREST) -> Forest:
     """f wrapped in n successive graftings: by default the chain with n
-    vertices, as a forest; ladder(0, f) is f itself."""
+    vertices, as a forest; ladder(0, f) is f itself. Cached: the values are
+    interned forests, so the cache holds only references."""
     if n < 0:
         raise ValueError("ladder length must be >= 0")
     for _ in range(n):

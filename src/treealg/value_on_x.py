@@ -1,0 +1,111 @@
+"""The values on x of nonempty forests on coefficient lists, for
+``rtm.rho_is_zero_on_x``, which imports this module on first use.
+
+The derivation and the list layout are in the ``rtm`` docstring: ``_on_x``
+keeps f(x) = xw as w's coefficient list over V_(deg f), ``_tree_on`` runs
+the backward pass for a product t·rest, and ``_vanishes_on_x`` sums the
+lists of a combination per degree. All three caches are
+``functools.cache``.
+"""
+from __future__ import annotations
+
+from functools import cache
+from itertools import repeat
+from operator import add, attrgetter, mul, sub
+
+from .hopf import _forest_coproduct
+from .lincomb import Scalar
+from .trees import EMPTY_FOREST, Forest, LEAF
+
+
+@cache
+def _on_x(f: Forest) -> list[Scalar]:
+    """f(x) = xw for a nonempty forest f: w's coefficients over V_(deg f)."""
+    if len(f.trees) > 1:
+        rest = Forest(f.trees[1:])
+        return _tree_on(f.trees[0].as_forest(), _on_x(rest), rest.degree + 1)
+    if f.trees[0] is LEAF:
+        return [1]
+    # R: out[2u] = c, out[2u + 1] = 2c
+    c = _on_x(f.trees[0].child_forest())
+    out = c + c
+    out[0::2], out[1::2] = c, [2 * e for e in c]
+    return out
+
+
+@cache
+def _groups_on_x(g: Forest) -> list[tuple[Forest, list[Scalar]]]:
+    """The nonzero groups (f1, H_g[f1]) of g's coproduct, each H as the
+    list of its words xhy over V_(deg g - deg f1)."""
+    groups: dict[Forest, list[Scalar]] = {}
+    for (f1, f2), c in _forest_coproduct(g).terms.items():
+        if f2.trees:
+            h = map(mul, _on_x(f2), repeat(c))
+            groups[f1] = list(map(add, groups[f1], h) if f1 in groups else h)
+    return [(f1, h) for f1, h in groups.items() if any(h)]
+
+
+def _add_outer(out: list, d: list, h: list, ns: int, su: int, sh: int, off: int) -> None:
+    """out[off + u su + k sh + r] += d[u ns + r] h[k] for r < ns: one ``map``
+    along the longest of the runs u, k and r for each point of the other two."""
+    nu, nh = len(d) // ns, len(h)
+    if nh >= nu and nh >= ns:
+        n, runs = nh, ((off + i // ns * su + i % ns, sh, h, e) for i, e in enumerate(d) if e)
+    elif ns >= nu:
+        n, runs = ns, ((off + u * su + k * sh, 1, d[u * ns:(u + 1) * ns], c)
+                       for k, c in enumerate(h) if c for u in range(nu))
+    else:
+        n, runs = nu, ((off + k * sh + r, su, d[r::ns], c)
+                       for k, c in enumerate(h) if c for r in range(ns))
+    for o, step, v, c in runs:
+        r = slice(o, o + n * step, step)
+        out[r] = map(add, out[r], map(mul, v, repeat(c)))
+
+
+def _tree_on(t: Forest, p: list[Scalar], n: int) -> list[Scalar]:
+    """t(xw) for w in V_(n - 1) with coefficient list p, n >= 2, as a list
+    over V_(n - 1 + deg t), by the backward pass of the ``rtm`` docstring."""
+    # every left factor of a left factor of t is one of t's (coassociativity,
+    # and the coproduct of a forest has no negative coefficient)
+    left = sorted({f1 for f1, _ in _forest_coproduct(t).terms}, key=attrgetter("degree"))
+    lists = {g: [0] * (1 << (n + t.degree - g.degree - 2)) for g in left}
+    lists[t] = list(p)
+    # the moves out of the last letter y: states (f1, u', h) with -c_h P[u'y]
+    neg = [-c for c in p]
+    for f1, h in _groups_on_x(t):
+        _add_outer(lists[f1], neg, h, 1, 2 * len(h), 1, 0)
+    for i in range(n - 1, 0, -1):
+        for g, src in lists.items():
+            groups = _groups_on_x(g)
+            if not groups or not any(src):
+                continue
+            # d[u's] = src[u'xs] - src[u'ys], with |u'| = i - 1 and ns words s;
+            # at i = 1, u' is empty and every state word starts with x
+            ns = len(src) >> (i - 1)
+            if i == 1:
+                d = src
+            elif 2 * ns * ns >= len(src):
+                d = [e for a in range(0, len(src), 2 * ns)
+                     for e in map(sub, src[a:a + ns], src[a + ns:a + 2 * ns])]
+            else:
+                d = [0] * (len(src) // 2)
+                for r in range(ns):
+                    d[r::ns] = map(sub, src[r::2 * ns], src[ns + r::2 * ns])
+            for f1, h in groups:
+                _add_outer(lists[f1], d, h, ns, 4 * len(h) * ns, 2 * ns, ns)
+    return lists[EMPTY_FOREST]
+
+
+@cache
+def _vanishes_on_x(key: frozenset) -> bool:
+    """Whether the combination ``key`` of nonempty forests is zero on x:
+    the values of one degree and one coefficient are summed column by
+    column, then scaled once."""
+    parts: dict[tuple, list] = {}
+    for f, c in key:
+        parts.setdefault((f.degree, c), []).append(_on_x(f))
+    sums: dict[int, list[Scalar]] = {}
+    for (d, c), values in parts.items():
+        col = map(mul, map(sum, zip(*values)), repeat(c))
+        sums[d] = list(map(add, sums[d], col) if d in sums else col)
+    return not any(map(any, sums.values()))

@@ -389,9 +389,9 @@ class TestColdAndWarm:
         diamond(Poly.from_word("xy"), Poly.from_word("yx"))
         names = {fn.__name__: fn for fn in treealg_caches()}
         assert set(names) >= {
-            "_diamond_pair", "sigma_forest", "_on_word", "_right_factors", "_ladder_poly",
-            "_ladder_product", "_pieces", "enumerate_trees", "enumerate_forests",
-            "basis_forests", "_k_system",
+            "_diamond_pair", "sigma_forest", "_on_word", "_right_factors", "_on_x",
+            "_groups_on_x", "_vanishes_on_x", "_ladder_poly", "_ladder_product", "_pieces",
+            "ladder", "enumerate_trees", "enumerate_forests", "basis_forests", "_k_system",
             "APPEND_X", "APPEND_Y", "_R_XY", "_R_YY", "words_ending_in_y", "word_index",
         }
         assert all(fn.cache_info().currsize for fn in names.values())

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -154,7 +155,8 @@ def _run_module(*argv, preexec_fn=None):
 class TestModuleEntryPoint:
     def test_import_treealg_loads_no_cli(self):
         # the library's importers (perfbench's children among them) do not
-        # pay for compiling the CLI or the selfcheck suite
+        # pay for compiling the CLI, the selfcheck suite or the values on x
+        # that only rho_is_zero_on_x needs
         done = subprocess.run(
             [sys.executable, "-c", "import sys, treealg; print(*sys.modules, sep='\\n')"],
             capture_output=True,
@@ -165,7 +167,7 @@ class TestModuleEntryPoint:
         assert (done.returncode, done.stderr) == (0, "")
         loaded = set(done.stdout.split())
         assert "treealg.linalg" in loaded
-        assert not {"treealg.cli", "treealg.selfcheck"} & loaded
+        assert not {"treealg.cli", "treealg.selfcheck", "treealg.value_on_x"} & loaded
 
     def test_python_dash_m(self):
         done = _run_module("sigma", "[[]]")
@@ -191,6 +193,51 @@ class TestModuleEntryPoint:
         assert code != 1
         if hasattr(signal, "SIGPIPE"):
             assert code == -signal.SIGPIPE
+
+
+# Polynomials in V_a (a <= 4), sometimes with a word ending in x or of
+# another length added; int, Fraction and mixed coefficients.
+_INTS = st.sampled_from([-2, -1, 1, 3])
+_FRACTIONS = st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(4)])
+
+
+@st.composite
+def _diamond_factors(draw):
+    a = draw(st.integers(1, 4))
+    coeffs = draw(st.sampled_from([_INTS, _FRACTIONS, st.one_of(_INTS, _FRACTIONS)]))
+    words = st.sampled_from(treealg.words_ending_in_y(a))
+    terms = draw(st.dictionaries(words, coeffs, min_size=1, max_size=4))
+    if draw(st.integers(0, 3)) == 0:
+        terms[draw(st.sampled_from(["x", "yx", "xy", "yyy"]))] = draw(coeffs)
+    return treealg.Poly(terms)
+
+
+class TestDiamondCommand:
+    @settings(max_examples=200, deadline=None)
+    @given(_diamond_factors(), _diamond_factors())
+    def test_dense_route_equals_diamond_with_types(self, left, right):
+        got, want = cli._diamond_product(left, right), treealg.diamond(left, right)
+        assert got.terms == want.terms
+        assert [type(c) for c in got.terms.values()] == [type(want.terms[k]) for k in got.terms]
+
+    def test_product_in_v_a_times_v_b_at_the_cap(self):
+        # sigma sends products of forests to diamond products, so
+        # sigma([[]] x 4) <> sigma([[]] x 4) = sigma([[]] x 8), degree 16; the
+        # sparse word recursion runs out of a 3 GB address space on it after
+        # about 60 s, the product on coefficient lists takes under 0.5 s
+        half, whole = (
+            treealg.print_poly(treealg.sigma(treealg.parse_helem(" ".join(["[[]]"] * k))))
+            for k in (4, 8)
+        )
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        start = time.perf_counter()
+        done = _run_module("diamond", half, half, preexec_fn=limit)
+        assert time.perf_counter() - start < 10
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == whole + "\n"
 
 
 class TestRelationCommand:
@@ -372,7 +419,7 @@ class TestErrors:
         "argv, kind, degree, cap",
         [
             (("relation", "20", "20"), "m+n", 40, "MAX_RELATION_DEGREE"),
-            (("relation", "7", "7", "--verify"), "m+n", 14, "MAX_RELATION_DEGREE"),
+            (("relation", "8", "7", "--verify"), "m+n", 15, "MAX_RELATION_DEGREE"),
             (("--json", "relation", "1", str(cli.MAX_RELATION_DEGREE)), "m+n",
              cli.MAX_RELATION_DEGREE + 1, "MAX_RELATION_DEGREE"),
             (("trees", str(cli.MAX_TREE_DEGREE + 1)), "degree",

@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from treealg import (
     HElem,
@@ -13,9 +15,10 @@ from treealg import (
     rho_is_zero_on_x,
     rtm_apply,
     sigma_forest,
+    sigma_kernel,
 )
-from treealg import rtm
-from treealg.words import Poly, X, Y, Z
+from treealg import rtm, value_on_x
+from treealg.words import Poly, X, Y, Z, words_ending_in_y
 
 from conftest import all_words, clear_caches, forests_up_to
 
@@ -24,6 +27,10 @@ def on(forest_text, poly_text):
     return rtm_apply(
         HElem.from_forest(parse_forest(forest_text)), parse_poly(poly_text)
     )
+
+
+def on_x(f):
+    return rtm_apply(HElem.from_forest(f), X).terms
 
 
 class TestLetterValues:
@@ -132,6 +139,55 @@ class TestZeroCertificate:
     def test_rejects_degree_zero_component(self):
         with pytest.raises(ValueError):
             rho_is_zero_on_x(HElem.one())
+        with pytest.raises(ValueError, match="degree-0"):
+            rho_is_zero_on_x(build_fmn(2, 2) + HElem.one())
+
+
+class TestDenseOnX:
+    def test_equals_rtm_apply_up_to_degree_8(self):
+        # f(x) = xw, w in V_(deg f), on its coefficient list
+        for f in forests_up_to(8, include_empty=False):
+            words = ["x" + w for w in words_ending_in_y(f.degree)]
+            dense = dict(zip(words, value_on_x._on_x(f)))
+            assert {w: c for w, c in dense.items() if c} == on_x(f), f
+
+    def test_one_lookup_per_relation_when_warm(self):
+        rel = build_fmn(3, 4)
+        assert rho_is_zero_on_x(rel)
+        before = value_on_x._vanishes_on_x.cache_info()
+        assert rho_is_zero_on_x(build_fmn(3, 4))
+        after = value_on_x._vanishes_on_x.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+# Forests of mixed degrees; combinations that vanish on x: relations and the
+# kernel of sigma in degree 5 (f(x) = x sigma(f)); int, Fraction and mixed
+# coefficients.
+FORESTS = st.sampled_from(forests_up_to(5, include_empty=False))
+RELATIONS = [build_fmn(m, t - m) for t in range(2, 8) for m in range(1, t)]
+VANISHING = [f for f in RELATIONS if not f.is_zero()] + sigma_kernel(5)
+INTS = st.sampled_from([-3, -1, 1, 2])
+FRACTIONS = st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(4), Fraction(-5, 6)])
+
+
+@st.composite
+def combinations(draw):
+    coeffs = draw(st.sampled_from([INTS, FRACTIONS, st.one_of(INTS, FRACTIONS)]))
+    acc = HElem.zero()
+    for v in draw(st.lists(st.sampled_from(VANISHING), min_size=1, max_size=3)):
+        acc = acc + draw(coeffs) * v
+    extra = draw(st.dictionaries(FORESTS, coeffs, min_size=1, max_size=2))
+    return acc + HElem(extra) if draw(st.booleans()) else acc
+
+
+class TestZeroOnXAgainstRtmApply:
+    @settings(max_examples=150, deadline=None)
+    @given(combinations())
+    @example(HElem.zero())
+    @example(build_fmn(1, 2) + Fraction(1, 2) * build_fmn(2, 3))
+    @example(Fraction(1, 3) * build_fmn(2, 3) + HElem.from_forest(parse_forest("[[]] []")))
+    def test_agrees(self, f):
+        assert rho_is_zero_on_x(f) == rtm_apply(f, X).is_zero()
 
 
 class TestRelationsAsOneMap:

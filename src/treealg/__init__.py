@@ -30,6 +30,7 @@ from .words import (
     op_Y,
     parse_poly,
     print_poly,
+    words_ending_in_y,
 )
 from .diamond import diamond, sigma, sigma_forest
 from .rtm import rho_is_zero_on_x, rtm_apply
@@ -42,7 +43,6 @@ from .linalg import (
     check_mod2_invertible,
     decompose,
     sigma_kernel,
-    words_ending_in_y,
 )
 
 __all__ = [

@@ -31,7 +31,7 @@ from .relations import build_fmn, verify_fmn
 from .rtm import rtm_apply
 from .selfcheck import run_selfcheck
 from .trees import count_forests, count_trees, enumerate_forests, enumerate_trees
-from .words import Poly, parse_poly, print_poly
+from .words import Poly, coefficient_list, parse_poly, poly_from_list, print_poly
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -192,12 +192,12 @@ MAX_COUNT_DEGREE = 2000
 # --check-mod2 it packs their parities into 2^(d-1) bit rows and takes one
 # GF(2) rank. At the caps, trees 16 takes 4.2-5.5 s and 213 MB, forests 15
 # 3.1-3.7 s and 144 MB, basis 19 7.1 s and 216 MB, basis 11 --check-mod2
-# 0.8 s and 70 MB, and basis 11 --matrix 0.9-1.1 s and 89 MB (171 MB
-# with --json); one degree more takes 14 s and 510 MB (trees 17), 8.7 s
-# and 356 MB (forests 16), 14 s and 416 MB (basis 20), 2.2-2.8 s and 244 MB
-# (basis 12 --check-mod2) and 3.1-3.4 s and 320 MB (642 MB with --json;
-# basis 12 --matrix) on the same host (two or three runs each, child
-# address space limited to 3 GB).
+# 0.64-0.66 s and 45 MB, and basis 11 --matrix 0.79-0.82 s and 53 MB
+# (142-143 MB with --json); one degree more takes 14 s and 510 MB (trees
+# 17), 8.7 s and 356 MB (forests 16), 14 s and 416 MB (basis 20), 2.2 s and
+# 146 MB (basis 12 --check-mod2) and 2.4-2.7 s and 177 MB (530 MB with
+# --json; basis 12 --matrix) on the same host (two or three runs each,
+# fresh child, address space limited to 3 GB).
 MAX_TREE_DEGREE = 16
 MAX_FOREST_DEGREE = 15
 MAX_BASIS_DEGREE = 19
@@ -279,7 +279,8 @@ def _diamond_product(left: Poly, right: Poly) -> Poly:
     if not (a and b and all(w[-1] == "y" for w in chain(lv, rv))
             and all(type(c) is int for c in chain(lv.values(), rv.values()))):
         return diamond(left, right)
-    dense = _diamond_dense(Poly._wrap(lv), a, Poly._wrap(rv), b).terms
+    cv, cw = coefficient_list(Poly._wrap(lv), a), coefficient_list(Poly._wrap(rv), b)
+    dense = poly_from_list(_diamond_dense(cv, cw)).terms
     return Poly._wrap(over(dense, lden * rden if lden and rden else lden or rden))
 
 

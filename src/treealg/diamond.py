@@ -11,10 +11,12 @@ The diamond product is defined on words by recursion on last letters:
 and extended bilinearly. ``sigma`` sends a forest to its polynomial value:
 the leaf goes to y, grafting acts by the degree-raising operator, and a
 product of trees goes to the diamond product of their values. Every value
-of degree n lies in V_n, the words of length n that end in y. A product
-leaf·u with u nonempty goes to y ◇ sigma(u) = T sigma(u), which
-``words.op_Y_dense`` gives on V_(deg u) (``op_Y`` proves T = · ◇ y); any
-other product of trees goes to ``_diamond_dense`` on V_a × V_b.
+of degree n >= 1 lies in V_n, the words of length n that end in y, and
+``_sigma_list`` keeps it as its coefficient list over V_n (the layout of
+``words``). The leaf goes to [1] and grafting to ``words.r_list``; a
+product leaf·u with u nonempty goes to y ◇ sigma(u) = T sigma(u), which
+``words.t_list`` gives (``op_Y`` proves T = · ◇ y); any other product of
+trees goes to ``_diamond_dense`` on V_a × V_b.
 
 The dense product. Write P = P_x x + P_y y and Q = Q_x x + Q_y y, with no
 constant terms, and D = P_x - P_y. Summing the four rules over the terms
@@ -37,7 +39,7 @@ from a down to 1 and each j from b - 1 down to 0. The moves out of
 (a, b), v'y ◇ w'y = (v' ◇ w'y)y - (v'x ◇ w')y, are written into the
 initial lists. That is a·b moves of 2^(a+b-2) element pairs each, done by
 ``map`` over slices along the longest of the runs s, u' and w'. Memoless
-and dense, it needs only the coefficient lists of its two factors.
+and dense, it takes and returns coefficient lists.
 
 The public ``diamond`` is the sparse word recursion, for any polynomial:
 the action bridge's single words, some ending in x, and the reference of
@@ -47,14 +49,15 @@ cases and puts the longer word first, words of one length in string
 order, and the recursion runs in ``_diamond_pair`` on that orientation.
 (Plain string order would make the recursion reach more distinct pairs:
 61k entries, not 49k, for the chain y ◇ ... ◇ y of 16 factors, and 243 MB
-of peak memory, not 217 MB, for 18 factors.) ``sigma_forest`` caches
-forest values. Both caches are ``functools.cache`` (``cache_info()``,
+of peak memory, not 217 MB, for 18 factors.) ``_sigma_list`` caches forest
+values as lists, and ``sigma_forest`` as ``Poly``, each built once from
+the list. The caches are ``functools.cache`` (``cache_info()``,
 ``cache_clear()``). ``_diamond_pair`` appends its last letters through
-the word tables of ``words``, and ``op_Y_dense`` and ``_diamond_dense``
-write the words of the V_n table, so every word in either cache is the one
-interned ``str`` for it. Every sum accumulates in place into one fresh
-dict, all-``Fraction`` coefficients are summed in ints (``lincomb``), and
-cached values are never mutated.
+the word tables of ``words``, and ``sigma_forest`` takes the words of the
+V_n table, so every word in either memo is the one interned ``str`` for
+it. Every sum accumulates in place into one fresh dict, all-``Fraction``
+coefficients are summed in ints (``lincomb``), and cached values, lists
+included, are never mutated.
 """
 from __future__ import annotations
 
@@ -64,17 +67,7 @@ from operator import add, sub
 from .hopf import HElem
 from .lincomb import Scalar, add_into, linear, numerators, over
 from .trees import Forest, LEAF
-from .words import (
-    APPEND_X,
-    APPEND_Y,
-    ONE,
-    Poly,
-    Y,
-    coefficient_list,
-    op_R,
-    op_Y_dense,
-    words_ending_in_y,
-)
+from .words import APPEND_X, APPEND_Y, ONE, Poly, poly_from_list, r_list, t_list
 
 _APPEND = {"x": APPEND_X, "y": APPEND_Y}
 _APPEND_FLIP = {"x": APPEND_Y, "y": APPEND_X}
@@ -149,10 +142,10 @@ def _move_right(out: list, src: list, i: int, j: int, t: int) -> None:
             out[r] = map(add, out[r], map(sub, src[p:p + n * ss:ss], src[q:q + n * ss:ss]))
 
 
-def _diamond_dense(v: Poly, a: int, w: Poly, b: int) -> Poly:
-    """v ◇ w for v in V_a and w in V_b, a, b >= 1, on coefficient lists
-    (see the module docstring); a word outside V_a or V_b raises KeyError."""
-    cv, cw = coefficient_list(v, a), coefficient_list(w, b)
+def _diamond_dense(cv: list[Scalar], cw: list[Scalar]) -> list[Scalar]:
+    """v ◇ w on the coefficient lists of v in V_a and w in V_b, a, b >= 1
+    (see the module docstring)."""
+    a, b = len(cv).bit_length(), len(cw).bit_length()
     m, h = a + b - 1, 1 << (a - 1)
     col = [[0] * (1 << m) for _ in range(b + 1)]
     # v'y ◇ w'y = (v' ◇ w'y)y - (v'x ◇ w')y: the states (a - 1, b) and (a, b - 1)
@@ -164,23 +157,26 @@ def _diamond_dense(v: Poly, a: int, w: Poly, b: int) -> Poly:
         # the row i = a starts at (a, b - 1), the rows below it at (i, b)
         for j in range(b - 1 - (i == a), -1, -1):
             _move_right(col[j], col[j + 1], i, j, m - i - j - 1)
-    return Poly._wrap({u: e for u, e in zip(words_ending_in_y(m + 1), map(sum, zip(*col))) if e})
+    return list(map(sum, zip(*col)))
+
+
+@cache
+def _sigma_list(f: Forest) -> list[Scalar]:
+    """The coefficient list of a nonempty forest's value over V_(deg f)."""
+    if len(f.trees) == 1:
+        t = f.trees[0]
+        return [1] if t is LEAF else r_list(_sigma_list(t.child_forest()))
+    if f.trees[0] is LEAF:
+        # sigma(leaf·u) = y <> sigma(u) = T sigma(u)
+        return t_list(_sigma_list(Forest(f.trees[1:])))
+    *init, last = f.trees
+    return _diamond_dense(_sigma_list(Forest(init)), _sigma_list(last.as_forest()))
 
 
 @cache
 def sigma_forest(f: Forest) -> Poly:
     """The polynomial value of a single forest (diamond product of tree values)."""
-    if not f.trees:
-        return ONE
-    if len(f.trees) == 1:
-        t = f.trees[0]
-        return Y if t is LEAF else op_R(sigma_forest(t.child_forest()))
-    if f.trees[0] is LEAF:
-        # sigma(leaf·u) = y <> sigma(u) = T sigma(u), on V_(deg u)
-        return op_Y_dense(sigma_forest(Forest(f.trees[1:])), f.degree - 1)
-    *init, last = f.trees
-    a, b = f.degree - last.degree, last.degree
-    return _diamond_dense(sigma_forest(Forest(init)), a, sigma_forest(last.as_forest()), b)
+    return poly_from_list(_sigma_list(f)) if f.trees else ONE
 
 
 def sigma(a: HElem) -> Poly:

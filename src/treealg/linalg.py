@@ -24,22 +24,22 @@ V_(d-1) into V_d.
 - Lemma A. The degree-d basis family is {B+u} and {leaf·u} over u in the
   degree-(d-1) family, with sigma(B+u) = R sigma(u) and sigma(leaf·u) =
   y ◇ sigma(u) = T sigma(u). The docstring of ``op_Y`` proves T = · ◇ y
-  on every word, and ``sigma_forest`` takes both rules in closed form, so
-  sigma of the whole family needs no diamond product. So t = sigma(f) is
-  R(p) + T(q) for p, q in V_(d-1): f's coefficients on B+u are those of p
-  one degree down, and on leaf·u those of q. At d = 1 the family is the
-  leaf, and sigma of it y.
+  on every word, and ``diamond._sigma_list`` takes both rules in closed
+  form, so sigma of the whole family needs no diamond product. So
+  t = sigma(f) is R(p) + T(q) for p, q in V_(d-1): f's coefficients on B+u
+  are those of p one degree down, and on leaf·u those of q. At d = 1 the
+  family is the leaf, and sigma of it y.
 - Lemma B. R(p) has p_uy at uxy and 2 p_uy at uyy, so q solves
   K_dᵀ q = (t_uyy - 2 t_uxy)_u, where row v of K_d is
   T(vy)_uyy - 2 T(vy)_uxy over the words u of length d-2; it has at most d
   nonzeros. Then p_uy = t_uxy - T(q)_uxy.
-- Lemma C. Mod 2, T(w) = yw + Σ_i w_<i xy w_>i (on word indices, the map
-  of ``op_Y_dense``), so the row of K_d for v = v'x is the unit vector at
-  v, and the row for v = v'y restricted to the columns ending in y is row
-  v' of K_(d-1). Hence, with words ordered by their number of trailing
-  y's, K_d is unit triangular mod 2, and det K_d is odd. ``_k_system``
-  checks this for every degree it builds and raises ArithmeticError
-  otherwise.
+- Lemma C. Mod 2, T(w) = yw + Σ_i w_<i xy w_>i (on word indices, the
+  index map of ``words.t_list``), so the row of K_d for v = v'x is the
+  unit vector at v, and the row for v = v'y restricted to the columns
+  ending in y is row v' of K_(d-1). Hence, with words ordered by their
+  number of trailing y's, K_d is unit triangular mod 2, and det K_d is
+  odd. ``_k_system`` checks this for every degree it builds and raises
+  ArithmeticError otherwise.
 
 Each K_d system is solved exactly by 2-adic (Dixon) lifting. Start from
 x = 0 and r = b. At step k, y solves K_dᵀ y = r mod 2, by substitution in
@@ -59,10 +59,10 @@ from functools import cache
 from math import lcm
 from operator import add
 
-from .diamond import sigma, sigma_forest
+from .diamond import _sigma_list, sigma
 from .hopf import HElem
 from .trees import EMPTY_FOREST, Forest, LEAF, bplus, enumerate_forests, forest_product
-from .words import coefficient_list, word_index, words_ending_in_y
+from .words import coefficient_list, r_list, t_list
 
 _INT = {int}
 
@@ -229,21 +229,18 @@ def basis_matrix(d: int) -> RationalMatrix:
     the y-ending word basis (lexicographic columns)."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    return RationalMatrix([coefficient_list(sigma_forest(u), d) for u in basis_forests(d)])
+    return RationalMatrix([_sigma_list(u) for u in basis_forests(d)])
 
 
 def _basis_parities(d: int) -> BitMatrix:
-    """``basis_matrix(d).mod2()`` straight from the sigma values: bit c of
-    row r is set where sigma of the r-th basis forest has an odd
-    coefficient at the c-th word ending in y."""
-    index = word_index(d)
-    return BitMatrix(
-        [
-            sum(1 << index[w] for w, c in sigma_forest(u).terms.items() if c & 1)
-            for u in basis_forests(d)
-        ],
-        len(index),
-    )
+    """``basis_matrix(d).mod2()`` straight from the sigma lists, which are
+    integral: bit c of row r is set where sigma of the r-th basis forest has
+    an odd coefficient at the c-th word ending in y. Each row is parsed as
+    one binary numeral, last entry first (48 is b"0"): at d = 12 that is
+    faster than summing its bits one big int at a time."""
+    rows = [_sigma_list(u) for u in basis_forests(d)]
+    bits = [int(bytes([48 + (e & 1) for e in reversed(r)]), 2) for r in rows]
+    return BitMatrix(bits, 1 << (d - 1))
 
 
 def check_mod2_invertible(d: int) -> bool:
@@ -262,21 +259,13 @@ def _trailing_ys(u: int) -> int:
     return (u ^ (u + 1)).bit_length() - 1
 
 
-@cache
-def _t_rows(d: int) -> list[list[tuple[int, int]]]:
-    """Row u, d >= 2: T(vy) for the u-th word vy of V_(d-1), as (index in
-    V_d, coefficient) pairs, by the index map of ``op_Y_dense``."""
+def _t_row(v: int, d: int) -> list[tuple[int, int]]:
+    """T(vy) for the v-th word vy of V_(d-1), d >= 2, as (index in V_d,
+    coefficient) pairs, by the index map of ``words.t_list``."""
     top = 1 << (d - 2)
-    at = list(range(2 * top))  # one int per index of V_d, shared by every row
-    return [
-        [(at[top | u], 1), (at[u << 1], -1)] + [
-            (
-                at[((u >> (s + 1)) << (s + 2)) | (1 << s) | (u & ((1 << s) - 1))],
-                -1 if u >> s & 1 else 1,
-            )
-            for s in range(d - 2)
-        ]
-        for u in range(top)
+    return [(top | v, 1), (v << 1, -1)] + [
+        (((v >> (s + 1)) << (s + 2)) | (1 << s) | (v & ((1 << s) - 1)), -1 if v >> s & 1 else 1)
+        for s in range(d - 2)
     ]
 
 
@@ -288,11 +277,11 @@ def _k_system(d: int):
     the Hadamard bound of K_d is below 2^(bits/2). Raises ArithmeticError
     unless K_d mod 2 is unit triangular in that order (Lemma C)."""
     rows, odd, hadamard = [], [], 1
-    for v, t_row in enumerate(_t_rows(d)):
+    for v in range(1 << (d - 2)):
         entries: dict[int, int] = {}
         # the i-th word of V_d is uxy for even i and uyy for odd i, u the
         # (i >> 1)-th word of length d - 2: word order is binary order
-        for i, c in t_row:
+        for i, c in _t_row(v, d):
             entries[i >> 1] = entries.get(i >> 1, 0) + (c if i & 1 else -2 * c)
         rows.append([(u, e) for u, e in entries.items() if e])
         odd.append([u for u, e in entries.items() if e & 1 and u != v])
@@ -381,12 +370,9 @@ def _coords(t: list[int], d: int) -> tuple[list[int], int]:
     if d == 1 or not any(t):
         return t, 1
     q, den = _solve_k(d, [t[i + 1] - 2 * t[i] for i in range(0, len(t), 2)])
-    back = _combine(_t_rows(d), q, len(t))
-    p = [den * t[i] - back[i] for i in range(0, len(t), 2)]
-    for u, c in enumerate(p):
-        back[2 * u] += c
-        back[2 * u + 1] += 2 * c
-    if back != [den * c for c in t]:
+    tq = t_list(q)
+    p = [den * t[i] - tq[i] for i in range(0, len(t), 2)]
+    if list(map(add, tq, r_list(p))) != [den * c for c in t]:
         raise ArithmeticError(f"degree {d}: R(p) + T(q) is not the target")
     (a, da), (b, db) = _coords(p, d - 1), _coords(q, d - 1)
     scale = lcm(da, db)
@@ -420,7 +406,7 @@ def sigma_kernel(d: int) -> list[HElem]:
         raise ValueError("degree must be >= 1")
     forests = enumerate_forests(d)
     # columns indexed by forests, rows by word basis
-    columns = [coefficient_list(sigma_forest(f), d) for f in forests]
+    columns = [_sigma_list(f) for f in forests]
     mat = RationalMatrix([list(row) for row in zip(*columns)])
     return [
         HElem({f: c for f, c in zip(forests, vec) if c})

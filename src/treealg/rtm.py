@@ -65,10 +65,11 @@ homogeneous of degree deg g + 1, and each of its words starts with x and
 ends in y: xy for the leaf, R keeps the first letter, and a composition
 writes the words u'hs below, which start with a prefix u' of an input word
 or with h. So g(x) = xw, w in V_(deg g), and ``_on_x`` keeps the
-coefficient list of w, indexed as ``words.words_ending_in_y``: a word's
-index is its letters between the first and the last as bits, x = 0. The
-leaf gives [1], R gives out[2u] = c, out[2u + 1] = 2c, and a product
-t·rest gives t(P), P = rest(x), by the following pass (``_tree_on``).
+coefficient list of w over V_(deg g), in the layout of ``words``: the
+index of xw is its letters between the first and the last as bits, x = 0.
+The leaf gives [1], R gives ``words.r_list`` (R(xw) = x R(w)), and a
+product t·rest gives t(P), P = rest(x), by the following pass
+(``_tree_on``).
 
 Write a homogeneous P with no constant term as P = P_x x + P_y y. The two
 steps are linear in the word, so

@@ -16,6 +16,7 @@ from operator import add, attrgetter, mul, sub
 from .hopf import _forest_coproduct
 from .lincomb import Scalar
 from .trees import EMPTY_FOREST, Forest, LEAF
+from .words import r_list
 
 
 @cache
@@ -24,13 +25,7 @@ def _on_x(f: Forest) -> list[Scalar]:
     if len(f.trees) > 1:
         rest = Forest(f.trees[1:])
         return _tree_on(f.trees[0].as_forest(), _on_x(rest), rest.degree + 1)
-    if f.trees[0] is LEAF:
-        return [1]
-    # R: out[2u] = c, out[2u + 1] = 2c
-    c = _on_x(f.trees[0].child_forest())
-    out = c + c
-    out[0::2], out[1::2] = c, [2 * e for e in c]
-    return out
+    return [1] if f.trees[0] is LEAF else r_list(_on_x(f.trees[0].child_forest()))
 
 
 @cache

@@ -6,6 +6,15 @@ linear-combination core (``lincomb``), whose sums accumulate in place.
 Canonical printing orders terms by word length, then lexicographically with
 x < y.
 
+V_n, n >= 1, is spanned by the words of length n that end in y, and every
+value of the dense routes lies in one V_n. This module alone fixes how such
+a value is laid out: as its coefficient list over ``words_ending_in_y(n)``,
+lexicographic with x < y, so a word's index is its first n - 1 letters as
+bits, x = 0, and n is read from the length 2^(n-1). ``r_list`` and
+``t_list`` are R and T = · ◇ y on such lists, ``coefficient_list`` and
+``poly_from_list`` convert between lists and ``Poly``, and the dense
+routes of the other modules pass lists from step to step.
+
 The memos of ``diamond`` and ``rtm`` hold millions of terms but only 2^n
 words of length n, so each word they store is the one interned ``str`` for
 it, not a private copy. Their keys are built through word tables
@@ -13,7 +22,10 @@ it, not a private copy. Their keys are built through word tables
 interned image on first lookup and return it from then on: a lookup is
 cheaper than the concatenation it replaces. The tables are caches like the
 ``functools.cache`` memos (``cache_info().currsize``, ``cache_clear()``).
-``Poly`` itself takes any ``str`` key.
+``Poly`` itself takes any ``str`` key. ``op_R`` and ``op_Y`` are R and T on
+any ``Poly``, term by term: ``rtm`` grafts through ``op_R``, as a long
+sparse word's list would be 2^(n-1) long, and ``op_Y`` is the tests'
+reference for T.
 """
 from __future__ import annotations
 
@@ -126,7 +138,7 @@ def op_Y(v: Poly) -> Poly:
     """The operator T = · ◇ y in closed form: each term c*w becomes
     c*yw + Σ_i s_i c*w_<i xy w_>i, with s_i = 1 where w_i = x and -1 where
     w_i = y. Every word it keeps is interned, as in the diamond memo.
-    ``op_Y_dense`` is the same T on V_n, by slices of a coefficient list.
+    ``t_list`` is the same T on V_n, by slices of a coefficient list.
 
     Proof that T(w) = w ◇ y for every word w. Take the right factor y = 1·y
     in the diamond rules: 1 ◇ y = y, vx ◇ y = (v ◇ y)x + (vx ◇ 1)y and
@@ -171,8 +183,21 @@ def coefficient_list(v: Poly, n: int) -> list[Scalar]:
     return out
 
 
-def op_Y_dense(v: Poly, n: int) -> Poly:
-    """``op_Y(v)`` for v in V_n, n >= 1, by slices of its coefficient list.
+def poly_from_list(c: list[Scalar]) -> Poly:
+    """The ``Poly`` whose coefficient list over V_n is c, n from len(c)."""
+    return Poly._wrap({w: e for w, e in zip(words_ending_in_y(len(c).bit_length()), c) if e})
+
+
+def r_list(c: list[Scalar]) -> list[Scalar]:
+    """``op_R`` on the coefficient list of a value in V_n: uy goes to uxy,
+    index 2u, and 2uyy, index 2u + 1."""
+    out = c + c
+    out[0::2], out[1::2] = c, [2 * e for e in c]
+    return out
+
+
+def t_list(c: list[Scalar]) -> list[Scalar]:
+    """``op_Y`` on the coefficient list of a value in V_n, n >= 1.
 
     The index map. Let w = a_0 ... a_(n-2) y have index u (bits a_i). In
     T(w) = yw + Σ_i s_i w_<i xy w_>i, yw has index (1 << (n-1)) | u: y·V_n
@@ -180,9 +205,9 @@ def op_Y_dense(v: Poly, n: int) -> Poly:
     Position i < n - 1, with s = n - 2 - i letters after it, splits u into
     p·a_i·r; its term p·xy·r, sign -1 where a_i (bit s) is set, has index
     ((u >> (s+1)) << (s+2)) | (1 << s) | (u & ((1 << s) - 1)), so out[p·01·r]
-    gains v[p·0·r] - v[p·1·r]: 2^i blocks of 2^s or 2^s strides of 2^i;
+    gains c[p·0·r] - c[p·1·r]: 2^i blocks of 2^s or 2^s strides of 2^i;
     each position takes the fewer, at most 2^((n-2)/2) ``map`` calls."""
-    c = coefficient_list(v, n)
+    n = len(c).bit_length()
     out = [0] * len(c) + c
     out[0::2] = map(sub, out[0::2], c)
     for s in range(n - 1):
@@ -195,7 +220,7 @@ def op_Y_dense(v: Poly, n: int) -> Poly:
             for r in range(lo):
                 o = slice(lo + r, None, 2 * step)
                 out[o] = map(add, out[o], map(sub, c[r::step], c[lo + r::step]))
-    return Poly._wrap({w: e for w, e in zip(words_ending_in_y(n + 1), out) if e})
+    return out
 
 
 def _poly_term(w: str, mag: Scalar) -> str:

@@ -19,8 +19,16 @@ from treealg import (
     sigma,
     sigma_forest,
 )
-from treealg.relations import _ladder_poly
-from treealg.words import Poly, Y, Z, op_R, op_Y, words_ending_in_y
+from treealg.words import (
+    Poly,
+    Y,
+    Z,
+    coefficient_list,
+    op_R,
+    op_Y,
+    poly_from_list,
+    words_ending_in_y,
+)
 
 from conftest import all_words, clear_caches
 
@@ -188,7 +196,7 @@ def reference_sigma(f, memo):
 
 class TestLeafRule:
     def test_against_grafting_and_diamond_alone(self):
-        # sigma_forest takes sigma(leaf·u) = T sigma(u) by op_Y_dense and
+        # sigma_forest takes sigma(leaf·u) = T sigma(u) by t_list and
         # other products by the dense product; the reference chains the
         # sparse diamond over the tree values
         memo = {}
@@ -276,7 +284,9 @@ class TestDenseDiamond:
     @example((4, Poly({}), 2, Poly({"xy": 1})))
     def test_equals_sparse_on_V(self, avbw):
         a, v, b, w = avbw
-        out, want = diamond_module._diamond_dense(v, a, w, b), diamond(v, w)
+        out = diamond_module._diamond_dense(coefficient_list(v, a), coefficient_list(w, b))
+        assert len(out) == 2 ** (a + b - 1)
+        out, want = poly_from_list(out), diamond(v, w)
         assert out.terms == want.terms
         assert all(type(c) is int for c in out.terms.values())
         table = set(map(id, words_ending_in_y(a + b)))
@@ -285,18 +295,24 @@ class TestDenseDiamond:
     def test_ladder_products(self):
         for m in range(1, 10):
             for n in range(1, 11 - m):
-                lm, ln = _ladder_poly(m), _ladder_poly(n)
-                out = diamond_module._diamond_dense(lm, m, ln, n)
-                assert out.terms == diamond(lm, ln).terms, (m, n)
+                lm, ln = sigma_forest(ladder(m)), sigma_forest(ladder(n))
+                out = diamond_module._diamond_dense(
+                    coefficient_list(lm, m), coefficient_list(ln, n)
+                )
+                assert poly_from_list(out).terms == diamond(lm, ln).terms, (m, n)
 
     @pytest.mark.parametrize("v,a,w,b", [
         ("x", 1, "y", 1), ("xy + yx", 2, "y", 1), ("y", 1, "xyx", 3),
         ("y", 2, "y", 1), ("xy", 1, "y", 1), ("1", 1, "y", 1), ("y", 1, "xy", 3),
     ])
     def test_word_outside_V(self, v, a, w, b):
+        # the lists are taken through coefficient_list, which refuses the word
         with pytest.raises(KeyError):
-            diamond_module._diamond_dense(parse_poly(v), a, parse_poly(w), b)
+            diamond_module._diamond_dense(
+                coefficient_list(parse_poly(v), a), coefficient_list(parse_poly(w), b)
+            )
 
     def test_degree_zero(self):
+        # an empty list has no degree n >= 1
         with pytest.raises(ValueError):
-            diamond_module._diamond_dense(Poly.one(), 0, Y, 1)
+            diamond_module._diamond_dense([], [1])

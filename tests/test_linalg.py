@@ -24,7 +24,9 @@ from treealg import (
     sigma_kernel,
     words_ending_in_y,
 )
-from treealg.words import Poly, op_Y
+from treealg.words import Poly, op_Y, word_index
+
+from conftest import clear_caches
 
 
 class TestRationalMatrix:
@@ -280,19 +282,19 @@ class TestWordTables:
             got = words_ending_in_y(d)
             assert type(got) is tuple and got == want
             assert words_ending_in_y(d) is got
-            assert linalg.word_index(d) == {w: i for i, w in enumerate(want)}
+            assert word_index(d) == {w: i for i, w in enumerate(want)}
         for d in (0, -1):
             with pytest.raises(ValueError, match="degree must be >= 1"):
                 words_ending_in_y(d)
 
     def test_t_rows_are_the_op_Y_rows(self):
         for d in range(2, 11):
-            index = linalg.word_index(d)
+            index = word_index(d)
             want = [
                 {(index[w], c) for w, c in op_Y(Poly.from_word(vy)).terms.items()}
                 for vy in words_ending_in_y(d - 1)
             ]
-            assert [set(row) for row in linalg._t_rows(d)] == want, d
+            assert [set(linalg._t_row(v, d)) for v in range(2 ** (d - 2))] == want, d
 
 
 class TestMod2Certificate:
@@ -303,14 +305,26 @@ class TestMod2Certificate:
             assert linalg._basis_parities(d).row_bits == dense.row_bits
             assert check_mod2_invertible(d) == dense.is_invertible()
 
+    def test_fill_no_poly_memo(self):
+        # both read the sigma lists, never sigma_forest
+        clear_caches()
+        try:
+            for d in range(1, 9):
+                assert check_mod2_invertible(d)
+                assert basis_matrix(d).rows == 2 ** (d - 1)
+            assert sigma_forest.cache_info().currsize == 0
+        finally:
+            clear_caches()
+
     def test_rows_equal_mod_2_fail(self, monkeypatch):
         # sigma of the second basis forest moved to sigma(first) + 2 sigma(second)
         d = 5
         first, second = basis_forests(d)[:2]
-        real = linalg.sigma_forest
+        real = linalg._sigma_list
         monkeypatch.setattr(
-            linalg, "sigma_forest",
-            lambda f: real(first) + 2 * real(second) if f is second else real(f),
+            linalg, "_sigma_list",
+            lambda f: [a + 2 * b for a, b in zip(real(first), real(second))]
+            if f is second else real(f),
         )
         rows = linalg._basis_parities(d).row_bits
         assert rows[0] == rows[1] != 0
@@ -440,10 +454,19 @@ class TestDecomposeAgainstDense:
 
     def test_singular_mod_2_raises(self, monkeypatch):
         # doubling T makes every entry of K_d even
-        t_rows = linalg._t_rows
-        monkeypatch.setattr(
-            linalg, "_t_rows", lambda d: [[(i, 2 * c) for i, c in row] for row in t_rows(d)]
-        )
+        t_row = linalg._t_row
+        monkeypatch.setattr(linalg, "_t_row", lambda v, d: [(i, 2 * c) for i, c in t_row(v, d)])
+        linalg._k_system.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match="K_3 is not unit triangular mod 2"):
+                decompose(HElem.from_forest(ladder(3)), 3)
+        finally:
+            linalg._k_system.cache_clear()
+
+    def test_odd_entry_out_of_order_raises(self, monkeypatch):
+        # with no word given a trailing y, the odd entry of K_3 at (row yy,
+        # column x) is no longer below the diagonal in the trailing-y order
+        monkeypatch.setattr(linalg, "_trailing_ys", lambda u: 0)
         linalg._k_system.cache_clear()
         try:
             with pytest.raises(ArithmeticError, match="K_3 is not unit triangular mod 2"):

@@ -15,7 +15,7 @@ from treealg import (
     verify_r_identity,
 )
 from treealg.lincomb import add_into
-from treealg.words import ONE, Poly, Y
+from treealg.words import ONE, Poly, Y, coefficient_list
 
 from conftest import clear_caches
 
@@ -144,27 +144,34 @@ def ref_r_identity_rhs(m, n):
     return Poly._wrap(rhs)
 
 
+def ref_rhs_list(m, n):
+    """``ref_r_identity_rhs`` as a coefficient list over V_(m+n)."""
+    return coefficient_list(ref_r_identity_rhs(m, n), m + n)
+
+
 class TestWordRouteRightHandSide:
-    """The grouped, Horner-evaluated right-hand side of verify_r_identity
-    against the per-(i, j) form above: equal terms, not just equal zeroness."""
+    """The grouped, Horner-evaluated right-hand side of verify_r_identity,
+    on coefficient lists, against the sparse per-(i, j) form above: equal
+    terms, not just equal zeroness."""
 
     def test_matches_per_pair_form(self):
         for m in range(1, 7):
             for n in range(1, 7):
                 rhs = relations._r_identity_rhs(m, n)
-                assert rhs.terms == ref_r_identity_rhs(m, n).terms, (m, n)
-                assert rhs == diamond(_ref_ladder_poly(m), _ref_ladder_poly(n))
+                assert rhs == ref_rhs_list(m, n), (m, n)
+                lhs = diamond(_ref_ladder_poly(m), _ref_ladder_poly(n))
+                assert rhs == coefficient_list(lhs, m + n)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (3, 2), (2, 5), (4, 4)])
     def test_cold_and_warm(self, m, n):
-        expected = ref_r_identity_rhs(m, n).terms
+        expected = ref_rhs_list(m, n)
         clear_caches()
-        assert relations._r_identity_rhs(m, n).terms == expected
+        assert relations._r_identity_rhs(m, n) == expected
         # the second call reads every piece from the cache
         misses = relations._pieces.cache_info().misses
-        assert relations._r_identity_rhs(m, n).terms == expected
+        assert relations._r_identity_rhs(m, n) == expected
         assert relations._pieces.cache_info().misses == misses
-        assert relations._r_identity_rhs(n, m).terms == ref_r_identity_rhs(n, m).terms
+        assert relations._r_identity_rhs(n, m) == ref_rhs_list(n, m)
 
     def test_memo_keys_are_unordered_pairs(self):
         # (2, 4) reads the pieces of {i, j} for i < 2, j < 4: seven
@@ -181,12 +188,13 @@ class TestWordRouteRightHandSide:
         assert relations._pieces.cache_info().currsize == 8
 
     def test_left_side_shares_the_ladder_products(self):
-        # the pieces of (2, 4) take L_i <> L_j for the seven pairs above and
-        # the left-hand side adds {2, 4}; (1, 3) then reads only these
+        # the pieces of (2, 4) take L_i <> L_j for the six pairs above other
+        # than {0, 0}, whose product is the unit, and the left-hand side
+        # adds {2, 4}; (1, 3) then reads only these
         clear_caches()
         assert verify_r_identity(2, 4)
         info = relations._ladder_product.cache_info()
-        assert info.currsize == 8
+        assert info.currsize == 7
         assert verify_r_identity(1, 3)
         after = relations._ladder_product.cache_info()
         assert (after.currsize, after.misses) == (info.currsize, info.misses)

@@ -9,7 +9,17 @@ from hypothesis import given, settings, strategies as st
 from conftest import all_words, clear_caches
 
 from treealg import words as words_module
-from treealg.words import APPEND_X, APPEND_Y, _R_XY, _R_YY, op_Y_dense, words_ending_in_y
+from treealg.words import (
+    APPEND_X,
+    APPEND_Y,
+    _R_XY,
+    _R_YY,
+    coefficient_list,
+    poly_from_list,
+    r_list,
+    t_list,
+    words_ending_in_y,
+)
 from treealg import (
     Poly,
     PolySyntaxError,
@@ -179,12 +189,19 @@ def v_polys(draw):
     return n, Poly(terms)
 
 
+def _t_on(v, n):
+    """T(v) for v in V_n by ``t_list``, back as a ``Poly``."""
+    out = t_list(coefficient_list(v, n))
+    assert len(out) == 2 ** n
+    return poly_from_list(out)
+
+
 class TestDenseT:
     def test_equals_op_Y_on_sigma_values(self):
         for d in range(1, 9):
             for f in enumerate_forests(d):
                 v = sigma_forest(f)
-                out, want = op_Y_dense(v, d), op_Y(v)
+                out, want = _t_on(v, d), op_Y(v)
                 assert out.terms == want.terms, f
                 assert _types(out) == _types(want)
 
@@ -192,7 +209,7 @@ class TestDenseT:
     @given(v_polys())
     def test_equals_op_Y_on_V(self, nv):
         n, v = nv
-        out, want = op_Y_dense(v, n), op_Y(v)
+        out, want = _t_on(v, n), op_Y(v)
         assert out.terms == want.terms
         assert _types(out) == _types(want)
         table = set(map(id, words_ending_in_y(n + 1)))
@@ -201,7 +218,8 @@ class TestDenseT:
     def test_cancelling_images(self):
         # T(xy) = yxy + xyy - xxy and T(yy) = yyy - xyy - yxy
         v = parse_poly("xy + yy")
-        assert op_Y_dense(v, 2).terms == op_Y(v).terms == {"xxy": -1, "yyy": 1}
+        assert _t_on(v, 2).terms == op_Y(v).terms == {"xxy": -1, "yyy": 1}
+        assert t_list([1, 1]) == [-1, 0, 0, 1]
 
     def test_fewer_of_blocks_and_strides(self, monkeypatch):
         # position i (s = n - 2 - i letters after it) takes min(2^i, 2^s)
@@ -215,13 +233,37 @@ class TestDenseT:
         monkeypatch.setattr(words_module, "map", counting_map, raising=False)
         for n in range(1, 13):
             calls.clear()
-            op_Y_dense(Poly({w: 1 for w in words_ending_in_y(n)}), n)
+            t_list([1] * 2 ** (n - 1))
             assert len(calls) == 1 + 2 * sum(min(2 ** (n - 2 - s), 2 ** s) for s in range(n - 1)), n
 
+
+class TestLists:
+    """The list forms against the sparse ``Poly`` forms, on V_n."""
+
+    @pytest.mark.parametrize("scale", [1, Fraction(2, 3)])
+    def test_r_list_is_op_R_on_every_word(self, scale):
+        for n in range(1, 9):
+            for i, w in enumerate(words_ending_in_y(n)):
+                c = [0] * 2 ** (n - 1)
+                c[i] = 3 * scale
+                out, want = r_list(c), op_R(Poly.from_word(w, 3 * scale))
+                assert out == coefficient_list(want, n + 1), w
+                assert _types(poly_from_list(out)) == _types(want)
+
+    def test_r_list_leaves_its_input(self):
+        c = [1, -2]
+        assert r_list(c) == [1, 2, -2, -4] and c == [1, -2]
+
+    def test_round_trip(self):
+        for n in range(1, 7):
+            for f in enumerate_forests(n):
+                v = sigma_forest(f)
+                assert poly_from_list(coefficient_list(v, n)) == v
+
     def test_word_outside_V_n(self):
-        for v, n in (("x", 1), ("yx", 2), ("xy", 3)):
+        for v, n in (("x", 1), ("yx", 2), ("xy", 3), ("1", 1)):
             with pytest.raises(KeyError):
-                op_Y_dense(parse_poly(v), n)
+                coefficient_list(parse_poly(v), n)
 
 
 class TestDegrees:

@@ -170,13 +170,15 @@ MAX_DECOMPOSE_DEGREE = 13
 MAX_COPRODUCT_TERMS = 1_000_000
 
 # The largest m + n that relation accepts, with or without --verify. At the
-# cap, the slowest pairs, relation 5 9 --verify and 6 8 --verify, take
-# 0.61-0.82 s and 61-62 MB, and relation 7 7 --verify 0.65-0.72 s and 54 MB;
-# with the cap raised, relation 7 8 --verify (m+n = 15) takes 1.25 s and
-# 116 MB, and relation 8 8 --verify 3.6-3.8 s and 235 MB (2-core x86-64
-# host, Python 3.11, fresh process each). Without --verify only f_{m,n} is
-# built, which is cheap (0.1 s for m = n = 20 from Python), but one cap
-# keeps the command's budget simple.
+# cap, relation 5 9 --verify takes 0.43-0.56 s and 44 MB, 6 8 --verify
+# 0.39-0.55 s and 44 MB, and 7 7 --verify 0.41-0.53 s and 39 MB; with the
+# cap raised, relation 7 8 --verify (m+n = 15) takes 0.79-1.09 s and 80 MB,
+# and relation 8 8 --verify 1.4-2.0 s and 153 MB. From Python, all three
+# routes of every pair with m+n = 16 take 6.3-6.6 s and 320 MB in one
+# process, and with m+n = 17 16-20 s and 736 MB (2-core x86-64 host,
+# Python 3.11, fresh process each, three runs). Without --verify only
+# f_{m,n} is built, which is cheap (0.1 s for m = n = 20 from Python), but
+# one cap keeps the command's budget simple.
 MAX_RELATION_DEGREE = 14
 
 # The largest degree that trees and forests accept with --count-only. The

@@ -50,12 +50,18 @@ order, and the recursion runs in ``_diamond_pair`` on that orientation.
 (Plain string order would make the recursion reach more distinct pairs:
 61k entries, not 49k, for the chain y ◇ ... ◇ y of 16 factors, and 243 MB
 of peak memory, not 217 MB, for 18 factors.) ``_sigma_list`` caches forest
-values as lists, and ``sigma_forest`` as ``Poly``, each built once from
-the list. The caches are ``functools.cache`` (``cache_info()``,
+values as lists, and ``sigma_forest``, for callers that want one forest's
+value, as ``Poly``, built once from the list. ``sigma`` of a combination
+sums the lists of each degree by ``lincomb.sum_lists`` and turns each sum
+into a ``Poly`` once, so it fills no ``sigma_forest`` entry; only a mix of
+int and ``Fraction`` coefficients is folded by ``lincomb.linear`` over
+``sigma_forest``, as the plain fold keeps the type of a word whose
+running sum cancels to 0 before a later int term, and a grouped sum does
+not. The caches are ``functools.cache`` (``cache_info()``,
 ``cache_clear()``). ``_diamond_pair`` appends its last letters through
-the word tables of ``words``, and ``sigma_forest`` takes the words of the
-V_n table, so every word in either memo is the one interned ``str`` for
-it. Every sum accumulates in place into one fresh dict, all-``Fraction``
+the word tables of ``words``, and ``poly_from_list`` takes the words of
+the V_n table, so every word in either memo is the one interned ``str``
+for it. Every sum accumulates into fresh dicts or lists, all-``Fraction``
 coefficients are summed in ints (``lincomb``), and cached values, lists
 included, are never mutated.
 """
@@ -65,8 +71,8 @@ from functools import cache
 from operator import add, sub
 
 from .hopf import HElem
-from .lincomb import Scalar, add_into, linear, numerators, over
-from .trees import Forest, LEAF
+from .lincomb import Scalar, add_into, linear, numerators, over, sum_lists
+from .trees import EMPTY_FOREST, Forest, LEAF
 from .words import APPEND_X, APPEND_Y, ONE, Poly, poly_from_list, r_list, t_list
 
 _APPEND = {"x": APPEND_X, "y": APPEND_Y}
@@ -180,5 +186,16 @@ def sigma_forest(f: Forest) -> Poly:
 
 
 def sigma(a: HElem) -> Poly:
-    """Linear extension of the forest-to-polynomial homomorphism."""
-    return Poly._wrap(linear(a.terms, lambda f: sigma_forest(f).terms))
+    """Linear extension of the forest-to-polynomial homomorphism: the
+    forest lists of each degree summed by ``sum_lists``, all-``Fraction``
+    coefficients as int numerators over their lcm. A mix of int and
+    ``Fraction`` coefficients is folded by ``linear``, which keeps the
+    plain sum's type at each word."""
+    coeffs, den = numerators(a.terms)
+    if any(type(c) is not int for c in coeffs.values()):
+        return Poly._wrap(linear(a.terms, lambda f: sigma_forest(f).terms))
+    acc = {"": coeffs[EMPTY_FOREST]} if EMPTY_FOREST in coeffs else {}
+    sums = sum_lists((f.degree, _sigma_list(f), c) for f, c in coeffs.items() if f.trees)
+    for col in sums.values():
+        acc.update(poly_from_list(col).terms)
+    return Poly._wrap(over(acc, den))

@@ -14,10 +14,12 @@ ints for elimination over GF(2). On top of these sit the basis family
 leaf), the change-of-basis matrix to the y-ending word basis, and
 per-degree kernel computation. ``check_mod2_invertible`` builds no
 ``RationalMatrix``: it packs the odd sigma coefficients of each basis
-forest into a bit row over the y-ending words and takes one GF(2) rank.
+forest into a bit row over the y-ending words, by ``_parities``, the one
+packer, which ``rank`` and ``mod2`` use too, and takes one GF(2) rank.
 Type tests on entries are made once per row, not once per entry.
 
-``decompose`` builds no matrix of sigma values. V_d is spanned by the
+``decompose`` builds no matrix of sigma values: its target is the sum of
+the sigma lists of its input (``lincomb.sum_lists``). V_d is spanned by the
 words of length d that end in y; R (``op_R``) and T = · ◇ y (``op_Y``) map
 V_(d-1) into V_d.
 
@@ -59,10 +61,11 @@ from functools import cache
 from math import lcm
 from operator import add
 
-from .diamond import _sigma_list, sigma
+from .diamond import _sigma_list
 from .hopf import HElem
+from .lincomb import sum_lists
 from .trees import EMPTY_FOREST, Forest, LEAF, bplus, enumerate_forests, forest_product
-from .words import coefficient_list, r_list, t_list
+from .words import r_list, t_list
 
 _INT = {int}
 
@@ -81,7 +84,12 @@ def _integer_rows(entries: list[list[Fraction | int]]) -> list[list[int]]:
 
 
 def _parities(rows: list[list[int]], cols: int) -> "BitMatrix":
-    return BitMatrix([sum(1 << c for c, e in enumerate(row) if e & 1) for row in rows], cols)
+    """The integer rows mod 2: bit c of a row is set where entry c is odd.
+    Each row is parsed as one binary numeral, last entry first (48 is
+    b"0"), which is faster than summing its bits one big int at a time; a
+    zero-width row, whose empty numeral ``int`` would refuse, reads b"0"."""
+    bits = (int(bytes([48 + (e & 1) for e in reversed(row)]) or b"0", 2) for row in rows)
+    return BitMatrix(list(bits), cols)
 
 
 def _echelon(entries: list[list[Fraction | int]]) -> tuple[list[list[int]], list[int], int]:
@@ -232,17 +240,6 @@ def basis_matrix(d: int) -> RationalMatrix:
     return RationalMatrix([_sigma_list(u) for u in basis_forests(d)])
 
 
-def _basis_parities(d: int) -> BitMatrix:
-    """``basis_matrix(d).mod2()`` straight from the sigma lists, which are
-    integral: bit c of row r is set where sigma of the r-th basis forest has
-    an odd coefficient at the c-th word ending in y. Each row is parsed as
-    one binary numeral, last entry first (48 is b"0"): at d = 12 that is
-    faster than summing its bits one big int at a time."""
-    rows = [_sigma_list(u) for u in basis_forests(d)]
-    bits = [int(bytes([48 + (e & 1) for e in reversed(r)]), 2) for r in rows]
-    return BitMatrix(bits, 1 << (d - 1))
-
-
 def check_mod2_invertible(d: int) -> bool:
     """True if the integer basis matrix is invertible over GF(2).
 
@@ -251,7 +248,7 @@ def check_mod2_invertible(d: int) -> bool:
     the same argument. The parities are packed straight from the sigma
     values, which are integral, with no ``RationalMatrix`` built; by Lemma
     A those of the basis family come from R and T alone."""
-    return _basis_parities(d).is_invertible()
+    return _parities([_sigma_list(u) for u in basis_forests(d)], 1 << (d - 1)).is_invertible()
 
 
 def _trailing_ys(u: int) -> int:
@@ -392,7 +389,8 @@ def decompose(f: HElem, d: int) -> dict[Forest, Fraction]:
     deg = f.homogeneous_degree()
     if deg is None or (not f.is_zero() and deg != d):
         raise ValueError(f"input is not {d}-homogeneous")
-    target = coefficient_list(sigma(f), d)
+    sums = sum_lists((d, _sigma_list(u), c) for u, c in f.terms.items())
+    target = sums.get(d, [0] * (1 << (d - 1)))
     den = lcm(*(c.denominator for c in target))
     coords, scale = _coords([c.numerator * (den // c.denominator) for c in target], d)
     return {u: Fraction(c, den * scale) for u, c in zip(basis_forests(d), coords)}

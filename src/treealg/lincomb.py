@@ -23,6 +23,16 @@ makes each one a ``Fraction`` too, so the coefficient types do not change.
 Any other input is summed as it is, with no rewriting. The diamond product,
 the one bilinear map, rewrites each factor the same way.
 
+Values that are coefficient lists over one V_n (the dense routes of
+``words``) are summed by ``sum_lists``, one list per key: the lists of one
+key and one coefficient are summed column by column and scaled once, as
+a relation's coefficients are few and repeat. σ of a combination, the
+values on x and the coproduct groups of ``value_on_x``, the right-hand
+side of the word route and the target of ``decompose`` all sum that way.
+With int coefficients each entry has the plain fold's type; a mix of int
+and ``Fraction`` coefficients can differ from the dict fold, which drops a
+key whose running sum cancels, so σ folds such input by ``linear``.
+
 The signed-term text form "a - b + c" is printed by ``format_terms`` and
 read back by ``parse_terms``, whose coefficients ("p" or "p/q") are read by
 ``read_rational``; each subclass's module supplies the text of one term.
@@ -30,8 +40,10 @@ read back by ``parse_terms``, whose coefficients ("p" or "p/q") are read by
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
-from typing import Callable, Hashable, Mapping, TypeVar, Union
+from operator import add, mul
+from typing import Callable, Hashable, Iterable, Mapping, TypeVar, Union
 
 Scalar = Union[int, Fraction]
 C = TypeVar("C", bound="LinComb")
@@ -97,6 +109,22 @@ def linear(terms: Mapping, value: Callable[[Hashable], Mapping]) -> dict:
     for k, c in coeffs.items():
         add_into(acc, value(k), c)
     return over(acc, den)
+
+
+def sum_lists(terms: Iterable[tuple[Hashable, list, Scalar]]) -> dict:
+    """The sum of c * v over the triples (key, v, c), one list per key: the
+    lists v of one key have one length. The lists of one key and one c are
+    summed column by column, then scaled once by c. Exact for any
+    coefficients; with int coefficients every entry is the plain fold's,
+    type included. The lists v are only read, never mutated."""
+    parts: dict = {}
+    for key, v, c in terms:
+        parts.setdefault((key, c), []).append(v)
+    sums: dict = {}
+    for (key, c), values in parts.items():
+        col = map(mul, map(sum, zip(*values)), repeat(c))
+        sums[key] = list(map(add, sums[key], col) if key in sums else col)
+    return sums
 
 
 def format_terms(

@@ -12,9 +12,10 @@ Both the polynomial image and the value on x of the result vanish, and the
 same statement can be checked purely inside the word algebra via
 ``verify_r_identity``: with L_k = R^(k-1)(y) the value of ladder(k), the
 product L_m <> L_n equals the image of the sum above, term by term. Its
-right-hand side groups the terms by their power of R and applies R by
-Horner. L_k lies in V_k, the words of length k that end in y, and every
-step runs on coefficient lists over V_n (the layout of ``words``): L_k is
+right-hand side groups the terms by their power of R, summed as lists by
+``lincomb.sum_lists``, and applies R by Horner. L_k lies in V_k, the
+words of length k that end in y, and every step runs on coefficient
+lists over V_n (the layout of ``words``): L_k is
 ``diamond._sigma_list`` of ladder(k), L_i <> L_j for i, j >= 1 the dense
 product on V_i x V_j (``diamond._diamond_dense``), y <> a is T a
 (``words.t_list``), R is ``words.r_list``, and the two sides are compared
@@ -27,12 +28,12 @@ their entries, hits and misses.
 from __future__ import annotations
 
 from functools import cache
-from operator import add, sub
+from operator import add
 from typing import NamedTuple
 
 from .diamond import _diamond_dense, _sigma_list, sigma
 from .hopf import HElem
-from .lincomb import Scalar
+from .lincomb import Scalar, sum_lists
 from .rtm import rho_is_zero_on_x
 from .trees import Forest, LEAF, bplus, forest_product, ladder
 from .words import r_list, t_list
@@ -83,21 +84,18 @@ def _r_identity_rhs(m: int, n: int) -> list[Scalar]:
         sum over 0<=i<m, 0<=j<n of R^(m-i+n-j-2)(y <> r(L_i <> L_j))
           - sum over the same range, (i, j) != (0, 0), of R^(m-i+n-j-1)(y <> (L_i <> L_j)).
 
-    Terms are grouped by their power k of R, A_k, a list over V_(m+n-k),
-    and R is applied by Horner: A_0 + R(A_1 + R(A_2 + ...))."""
-    top = m + n - 2
-    groups = [[0] * (1 << (top + 1 - k)) for k in range(top + 1)]
-    for i in range(m):
-        for j in range(n):
-            grafted, bare = _pieces(min(i, j), max(i, j))
-            g = groups[top - i - j]
-            g[:] = map(add, g, grafted)
-            if i or j:
-                g = groups[top + 1 - i - j]
-                g[:] = map(sub, g, bare)
-    acc = groups[top]
-    for group in reversed(groups[:top]):
-        acc = list(map(add, r_list(acc), group))
+    Terms are grouped by their power k of R, A_k, a list over V_(m+n-k):
+    ``sum_lists`` keys each group by its length, shorter for larger k, and
+    R is applied by Horner over the lengths, shortest first:
+    A_0 + R(A_1 + R(A_2 + ...))."""
+    pieces = [_pieces(min(i, j), max(i, j)) for i in range(m) for j in range(n)]
+    # the first pair is (0, 0), the one whose second piece is not subtracted
+    groups = sum_lists(
+        [(len(g), g, 1) for g, _ in pieces] + [(len(b), b, -1) for _, b in pieces[1:]]
+    )
+    acc = [0]  # R(0) = 0 before the shortest group, of length 2
+    for length in sorted(groups):
+        acc = list(map(add, r_list(acc), groups[length]))
     return acc
 
 

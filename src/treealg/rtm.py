@@ -99,10 +99,10 @@ of the empty forest. Every g is a left factor of t: by coassociativity,
 and as no coproduct coefficient is negative, a left factor of a left
 factor of t is one of t's. H_g[f1] = sum c f2(x) is built from ``_on_x``
 itself (``_groups_on_x``). ``rho_is_zero_on_x`` sums the lists per degree
-and ``_vanishes_on_x`` caches the answer per combination key, so a warm
-check is one lookup. ``rtm_apply`` keeps the sparse recursion, whose memo
-the bridge's word recursions share; the two implementations share no code,
-and the tests check one against the other.
+(``lincomb.sum_lists``) and ``_vanishes_on_x`` caches the answer per
+combination key, so a warm check is one lookup. ``rtm_apply`` keeps the
+sparse recursion, whose memo the bridge's word recursions share; the two
+implementations share no code, and the tests check one against the other.
 """
 from __future__ import annotations
 

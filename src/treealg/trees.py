@@ -50,9 +50,6 @@ class Tree:
         cls._pool[kids] = self
         return self
 
-    def __lt__(self, other: "Tree") -> bool:
-        return _tree_key(self) < _tree_key(other)
-
     def __reduce__(self):
         # copies and unpickled objects are rebuilt through the pool
         return (Tree, (self.children,))
@@ -88,20 +85,11 @@ class Forest:
         cls._pool[ts] = self
         return self
 
-    def __lt__(self, other: "Forest") -> bool:
-        return (self.degree, self.encoding) < (other.degree, other.encoding)
-
     def __reduce__(self):
         return (Forest, (self.trees,))
 
-    def __bool__(self) -> bool:
-        return bool(self.trees)
-
     def __repr__(self) -> str:
         return f"Forest({self.encoding!r})"
-
-    def __iter__(self) -> Iterator[Tree]:
-        return iter(self.trees)
 
 
 LEAF = Tree(())

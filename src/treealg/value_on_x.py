@@ -3,9 +3,10 @@
 
 The derivation and the list layout are in the ``rtm`` docstring: ``_on_x``
 keeps f(x) = xw as w's coefficient list over V_(deg f), ``_tree_on`` runs
-the backward pass for a product t·rest, and ``_vanishes_on_x`` sums the
-lists of a combination per degree. All three caches are
-``functools.cache``.
+the backward pass for a product t·rest, ``_groups_on_x`` sums the groups
+H_g[f1] per left factor f1, and ``_vanishes_on_x`` sums the lists of a
+combination per degree, both by ``lincomb.sum_lists``. All four caches
+are ``functools.cache``.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from itertools import repeat
 from operator import add, attrgetter, mul, sub
 
 from .hopf import _forest_coproduct
-from .lincomb import Scalar
+from .lincomb import Scalar, sum_lists
 from .trees import EMPTY_FOREST, Forest, LEAF
 from .words import r_list
 
@@ -32,11 +33,9 @@ def _on_x(f: Forest) -> list[Scalar]:
 def _groups_on_x(g: Forest) -> list[tuple[Forest, list[Scalar]]]:
     """The nonzero groups (f1, H_g[f1]) of g's coproduct, each H as the
     list of its words xhy over V_(deg g - deg f1)."""
-    groups: dict[Forest, list[Scalar]] = {}
-    for (f1, f2), c in _forest_coproduct(g).terms.items():
-        if f2.trees:
-            h = map(mul, _on_x(f2), repeat(c))
-            groups[f1] = list(map(add, groups[f1], h) if f1 in groups else h)
+    groups = sum_lists(
+        (f1, _on_x(f2), c) for (f1, f2), c in _forest_coproduct(g).terms.items() if f2.trees
+    )
     return [(f1, h) for f1, h in groups.items() if any(h)]
 
 
@@ -94,13 +93,6 @@ def _tree_on(t: Forest, p: list[Scalar], n: int) -> list[Scalar]:
 @cache
 def _vanishes_on_x(key: frozenset) -> bool:
     """Whether the combination ``key`` of nonempty forests is zero on x:
-    the values of one degree and one coefficient are summed column by
-    column, then scaled once."""
-    parts: dict[tuple, list] = {}
-    for f, c in key:
-        parts.setdefault((f.degree, c), []).append(_on_x(f))
-    sums: dict[int, list[Scalar]] = {}
-    for (d, c), values in parts.items():
-        col = map(mul, map(sum, zip(*values)), repeat(c))
-        sums[d] = list(map(add, sums[d], col) if d in sums else col)
+    its values summed per degree by ``sum_lists``."""
+    sums = sum_lists((f.degree, _on_x(f), c) for f, c in key)
     return not any(map(any, sums.values()))

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from treealg import hopf
+from treealg import hopf, lincomb
 from treealg import (
     EMPTY_FOREST,
     HElem,
@@ -34,9 +34,12 @@ from treealg import (
     parse_forest,
     rtm_apply,
     sigma,
+    sigma_forest,
     sigma_kernel,
     verify_fmn,
 )
+
+from treealg.words import word_index
 
 from conftest import all_words, clear_caches, forests_up_to, treealg_caches
 
@@ -259,6 +262,13 @@ MIXED_DENOMINATORS = HElem(
 THIRD_OF_RELATION = HElem(
     {LEAF_F: Fraction(5, 6), **{f: Fraction(c, 3) for f, c in build_fmn(2, 2).terms.items()}}
 )
+# A mixed combination: the Fraction terms cancel at xxy, where the plain
+# fold drops the word, so the later int term leaves an int there; a grouped
+# sum of the three values would leave a Fraction.
+MIXED_CANCEL_FIRST = HElem(
+    {parse_forest("[[[]]]"): Fraction(1, 2), parse_forest("[] [] []"): Fraction(-1, 2),
+     parse_forest("[[][]]"): 1}
+)
 
 
 class TestAgainstFold:
@@ -284,6 +294,7 @@ class TestAgainstFold:
     @example(MIXED_DENOMINATORS)
     @example(THIRD_OF_RELATION)
     @example(HElem({TWO_LEAVES: Fraction(2), LADDER_TWO: Fraction(-1)}))
+    @example(MIXED_CANCEL_FIRST)
     def test_sigma(self, a):
         _assert_matches(sigma, (a,), ref_sigma(a.terms))
 
@@ -387,6 +398,10 @@ class TestColdAndWarm:
         enumerate_forests(3)
         decompose(HElem.from_forest(parse_forest("[] [[]]")), 3)
         diamond(Poly.from_word("xy"), Poly.from_word("yx"))
+        # sigma of a combination fills no sigma_forest entry, and decompose
+        # no word_index entry: call them themselves
+        sigma_forest(LADDER_TWO)
+        word_index(2)
         names = {fn.__name__: fn for fn in treealg_caches()}
         assert set(names) >= {
             "_diamond_pair", "sigma_forest", "_on_word", "_right_factors", "_on_x",
@@ -489,6 +504,48 @@ class TestCombinationAsOneMap:
         expected = per_forest_sum(f, w)
         clear_caches()
         _assert_matches(rtm_apply, (f, w), expected)
+
+
+# --- lincomb.sum_lists against the plain fold --------------------------------
+
+
+def _triples(coeffs):
+    """Up to eight (key, v, c) triples; the lists of key k have 2^k entries."""
+    return st.lists(
+        st.tuples(st.integers(0, 2), st.lists(st.integers(-3, 3), min_size=4, max_size=4), coeffs),
+        max_size=8,
+    ).map(lambda ts: [(k, v[:1 << k], c) for k, v, c in ts])
+
+
+SHARED = [1, -2, 0, 3]
+
+
+class TestSumLists:
+    """``sum_lists`` against the plain fold of c * v, entry by entry, with
+    zero sums dropped: equal values, equal types for int coefficients, and
+    the input lists, which may be memo values, left as they were."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(*map(_triples, ALL_COEFFS)))
+    @example([(2, SHARED, 1), (2, SHARED, 1), (2, SHARED, -2)])
+    @example([(1, [1, 2], Fraction(1, 2)), (1, [-1, 0], Fraction(1, 2)), (1, [0, 1], -1)])
+    @example([(0, [1], 2), (0, [1], Fraction(2)), (0, [1], -4)])
+    def test_against_fold(self, triples):
+        before = [list(v) for _, v, _ in triples]
+        expected = {}
+        for k, v, c in triples:
+            expected = _plus(expected, _scaled(c, {(k, i): e for i, e in enumerate(v) if e}))
+        sums = lincomb.sum_lists(triples)
+        got = {(k, i): e for k, col in sums.items() for i, e in enumerate(col) if e}
+        assert got == expected
+        if all(type(c) is int for _, _, c in triples):
+            assert {k: type(e) for k, e in got.items()} == {
+                k: type(e) for k, e in expected.items()
+            }
+        assert set(sums) == {k for k, _, _ in triples}
+        assert all(len(col) == 1 << k for k, col in sums.items())
+        assert [v for _, v, _ in triples] == before
+        assert not any(col is v for col in sums.values() for _, v, _ in triples)
 
 
 # --- one interned str per word in every memo ----------------------------------

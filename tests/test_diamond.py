@@ -10,6 +10,7 @@ from treealg import (
     HElem,
     LEAF,
     basis_forests,
+    build_fmn,
     diamond,
     enumerate_forests,
     ladder,
@@ -18,6 +19,7 @@ from treealg import (
     print_poly,
     sigma,
     sigma_forest,
+    sigma_kernel,
 )
 from treealg.words import (
     Poly,
@@ -242,6 +244,20 @@ class TestLeafRule:
                     sigma_forest(f)
             assert sigma_forest.cache_info().currsize > 400
             assert diamond_module._diamond_pair.cache_info().currsize == 0
+        finally:
+            clear_caches()
+
+    def test_sigma_of_a_combination_fills_no_poly_memo(self):
+        # sigma sums the forest lists, so only _sigma_list is filled
+        clear_caches()
+        try:
+            for total in range(2, 9):
+                for m in range(1, total):
+                    assert sigma(build_fmn(m, total - m)).is_zero()
+            for vec in sigma_kernel(5):
+                assert sigma(vec).is_zero()
+            assert diamond_module._sigma_list.cache_info().currsize > 0
+            assert sigma_forest.cache_info().currsize == 0
         finally:
             clear_caches()
 

@@ -299,10 +299,14 @@ class TestWordTables:
 
 class TestMod2Certificate:
     def test_parities_match_the_dense_matrix(self):
-        # check_mod2_invertible packs parities from sigma, not from the matrix
+        # check_mod2_invertible packs parities from the sigma lists, not from
+        # the matrix; both pack rows by _parities, checked against the bit sum
         for d in range(1, 10):
+            rows = [linalg._sigma_list(u) for u in basis_forests(d)]
+            bits = [sum(1 << c for c, e in enumerate(row) if e & 1) for row in rows]
             dense = basis_matrix(d).mod2()
-            assert linalg._basis_parities(d).row_bits == dense.row_bits
+            assert linalg._parities(rows, 2 ** (d - 1)).row_bits == bits
+            assert dense.row_bits == bits
             assert check_mod2_invertible(d) == dense.is_invertible()
 
     def test_fill_no_poly_memo(self):
@@ -326,7 +330,7 @@ class TestMod2Certificate:
             lambda f: [a + 2 * b for a, b in zip(real(first), real(second))]
             if f is second else real(f),
         )
-        rows = linalg._basis_parities(d).row_bits
+        rows = linalg._parities([linalg._sigma_list(u) for u in basis_forests(d)], 16).row_bits
         assert rows[0] == rows[1] != 0
         assert not check_mod2_invertible(d)
         assert not basis_matrix(d).mod2().is_invertible()

@@ -27,7 +27,6 @@ from .words import (
     Poly,
     PolySyntaxError,
     op_R,
-    op_Y,
     parse_poly,
     print_poly,
     words_ending_in_y,
@@ -68,7 +67,6 @@ __all__ = [
     "Poly",
     "PolySyntaxError",
     "op_R",
-    "op_Y",
     "parse_poly",
     "print_poly",
     "diamond",

@@ -170,12 +170,12 @@ MAX_DECOMPOSE_DEGREE = 13
 MAX_COPRODUCT_TERMS = 1_000_000
 
 # The largest m + n that relation accepts, with or without --verify. At the
-# cap, relation 5 9 --verify takes 0.43-0.56 s and 44 MB, 6 8 --verify
-# 0.39-0.55 s and 44 MB, and 7 7 --verify 0.41-0.53 s and 39 MB; with the
-# cap raised, relation 7 8 --verify (m+n = 15) takes 0.79-1.09 s and 80 MB,
-# and relation 8 8 --verify 1.4-2.0 s and 153 MB. From Python, all three
-# routes of every pair with m+n = 16 take 6.3-6.6 s and 320 MB in one
-# process, and with m+n = 17 16-20 s and 736 MB (2-core x86-64 host,
+# cap, relation 5 9 --verify takes 0.28-0.29 s and 43 MB, 6 8 --verify
+# 0.27-0.31 s and 43 MB, and 7 7 --verify 0.24-0.26 s and 39 MB; with the
+# cap raised, relation 7 8 --verify (m+n = 15) takes 0.54-0.61 s and 79 MB,
+# and relation 8 8 --verify 0.98-1.28 s and 151 MB. From Python, all three
+# routes of every pair with m+n = 16 take 4.4-4.8 s and 308 MB in one
+# process, and with m+n = 17 10.5-11.0 s and 713 MB (2-core x86-64 host,
 # Python 3.11, fresh process each, three runs). Without --verify only
 # f_{m,n} is built, which is cheap (0.1 s for m = n = 20 from Python), but
 # one cap keeps the command's budget simple.

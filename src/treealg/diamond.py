@@ -15,8 +15,8 @@ of degree n >= 1 lies in V_n, the words of length n that end in y, and
 ``_sigma_list`` keeps it as its coefficient list over V_n (the layout of
 ``words``). The leaf goes to [1] and grafting to ``words.r_list``; a
 product leaf·u with u nonempty goes to y ◇ sigma(u) = T sigma(u), which
-``words.t_list`` gives (``op_Y`` proves T = · ◇ y); any other product of
-trees goes to ``_diamond_dense`` on V_a × V_b.
+``words.t_list`` gives (its docstring proves T = · ◇ y); any other
+product of trees goes to ``_diamond_dense`` on V_a × V_b.
 
 The dense product. Write P = P_x x + P_y y and Q = Q_x x + Q_y y, with no
 constant terms, and D = P_x - P_y. Summing the four rules over the terms

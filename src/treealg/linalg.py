@@ -20,17 +20,17 @@ Type tests on entries are made once per row, not once per entry.
 
 ``decompose`` builds no matrix of sigma values: its target is the sum of
 the sigma lists of its input (``lincomb.sum_lists``). V_d is spanned by the
-words of length d that end in y; R (``op_R``) and T = · ◇ y (``op_Y``) map
-V_(d-1) into V_d.
+words of length d that end in y; R (``op_R``) and T = · ◇ y
+(``words.t_list``) map V_(d-1) into V_d.
 
 - Lemma A. The degree-d basis family is {B+u} and {leaf·u} over u in the
   degree-(d-1) family, with sigma(B+u) = R sigma(u) and sigma(leaf·u) =
-  y ◇ sigma(u) = T sigma(u). The docstring of ``op_Y`` proves T = · ◇ y
-  on every word, and ``diamond._sigma_list`` takes both rules in closed
-  form, so sigma of the whole family needs no diamond product. So
-  t = sigma(f) is R(p) + T(q) for p, q in V_(d-1): f's coefficients on B+u
-  are those of p one degree down, and on leaf·u those of q. At d = 1 the
-  family is the leaf, and sigma of it y.
+  y ◇ sigma(u) = T sigma(u). The docstring of ``words.t_list`` proves
+  its closed form of T = · ◇ y on every word, and ``diamond._sigma_list``
+  takes both rules in closed form, so sigma of the whole family needs no
+  diamond product. So t = sigma(f) is R(p) + T(q) for p, q in V_(d-1):
+  f's coefficients on B+u are those of p one degree down, and on leaf·u
+  those of q. At d = 1 the family is the leaf, and sigma of it y.
 - Lemma B. R(p) has p_uy at uxy and 2 p_uy at uyy, so q solves
   K_dᵀ q = (t_uyy - 2 t_uxy)_u, where row v of K_d is
   T(vy)_uyy - 2 T(vy)_uxy over the words u of length d-2; it has at most d

@@ -15,15 +15,17 @@ product L_m <> L_n equals the image of the sum above, term by term. Its
 right-hand side groups the terms by their power of R, summed as lists by
 ``lincomb.sum_lists``, and applies R by Horner. L_k lies in V_k, the
 words of length k that end in y, and every step runs on coefficient
-lists over V_n (the layout of ``words``): L_k is
-``diamond._sigma_list`` of ladder(k), L_i <> L_j for i, j >= 1 the dense
-product on V_i x V_j (``diamond._diamond_dense``), y <> a is T a
+lists over V_n (the layout of ``words``): y <> a is T a
 (``words.t_list``), R is ``words.r_list``, and the two sides are compared
-as lists. The products L_i <> L_j of each unordered pair
-(``_ladder_product``, by (min, max)), which the left-hand side and the
-pieces share, and the two pieces of each pair (``_pieces``) are cached with
-``functools.cache`` and shared by every (m, n); ``cache_info()`` reports
-their entries, hits and misses.
+as lists. L_i <> L_j, i <= j, is ``diamond._sigma_list`` of the forest
+ladder(i) ladder(j), whose first tree is the shorter ladder: the dense
+product on V_i x V_j for i >= 2, T L_j for i = 1 and L_j for i = 0. So
+the left-hand side, the pieces and the sigma route of f_{m,n} (which
+reaches that forest inside each of its terms) read one cached list per
+pair. The two pieces of each unordered pair (``_pieces``) are cached
+with ``functools.cache`` and shared by every (m, n); ``cache_info()``
+reports their entries, hits and misses. The word route takes sigma of
+no other forest: it applies T and R to these lists itself.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from functools import cache
 from operator import add
 from typing import NamedTuple
 
-from .diamond import _diamond_dense, _sigma_list, sigma
+from .diamond import _sigma_list, sigma
 from .hopf import HElem
 from .lincomb import Scalar, sum_lists
 from .rtm import rho_is_zero_on_x
@@ -61,20 +63,13 @@ def build_fmn(m: int, n: int) -> HElem:
 
 
 @cache
-def _ladder_product(i: int, j: int) -> list[Scalar]:
-    """L_i <> L_j as a list over V_(i+j), called with 1 <= j and i <= j."""
-    lj = _sigma_list(ladder(j))
-    return lj if i == 0 else _diamond_dense(_sigma_list(ladder(i)), lj)
-
-
-@cache
 def _pieces(i: int, j: int) -> tuple[list[Scalar], list[Scalar]]:
     """(y <> r(L_i <> L_j), y <> (L_i <> L_j)) as lists, where r is R
     extended to send the unit to y; called with i <= j, as the pieces
     depend only on {i, j}."""
     if not j:
         return t_list([1]), [1]
-    inner = _ladder_product(i, j)
+    inner = _sigma_list(forest_product(ladder(i), ladder(j)))
     return t_list(r_list(inner)), t_list(inner)
 
 
@@ -101,11 +96,11 @@ def _r_identity_rhs(m: int, n: int) -> list[Scalar]:
 
 def verify_r_identity(m: int, n: int) -> bool:
     """Check the word-algebra form of the vanishing statement for (m, n):
-    L_m <> L_n, computed on its own, equals ``_r_identity_rhs(m, n)`` term
-    by term, as coefficient lists."""
+    L_m <> L_n, read from sigma's list memo, equals ``_r_identity_rhs(m, n)``
+    term by term, as coefficient lists."""
     if m < 1 or n < 1:
         raise ValueError("both ladder lengths must be >= 1")
-    return _ladder_product(min(m, n), max(m, n)) == _r_identity_rhs(m, n)
+    return _sigma_list(forest_product(ladder(m), ladder(n))) == _r_identity_rhs(m, n)
 
 
 class RelationReport(NamedTuple):
@@ -130,6 +125,6 @@ def verify_fmn(m: int, n: int) -> RelationReport:
         n=n,
         relation=rel,
         sigma_is_zero=sigma(rel).is_zero(),
-        rho_x_is_zero=rho_is_zero_on_x(rel) if not rel.is_zero() else True,
+        rho_x_is_zero=rho_is_zero_on_x(rel),
         r_identity_holds=verify_r_identity(m, n),
     )

@@ -22,10 +22,10 @@ it, not a private copy. Their keys are built through word tables
 interned image on first lookup and return it from then on: a lookup is
 cheaper than the concatenation it replaces. The tables are caches like the
 ``functools.cache`` memos (``cache_info().currsize``, ``cache_clear()``).
-``Poly`` itself takes any ``str`` key. ``op_R`` and ``op_Y`` are R and T on
-any ``Poly``, term by term: ``rtm`` grafts through ``op_R``, as a long
-sparse word's list would be 2^(n-1) long, and ``op_Y`` is the tests'
-reference for T.
+``Poly`` itself takes any ``str`` key. ``op_R`` is R on any ``Poly``, term
+by term: ``rtm`` grafts through it, as a long sparse word's list would be
+2^(n-1) long. T on any ``Poly`` is ``diamond(v, Y)`` by definition, and
+``t_list``'s docstring proves its closed form.
 """
 from __future__ import annotations
 
@@ -134,31 +134,6 @@ def op_R(v: Poly) -> Poly:
     return Poly._wrap(out)
 
 
-def op_Y(v: Poly) -> Poly:
-    """The operator T = · ◇ y in closed form: each term c*w becomes
-    c*yw + Σ_i s_i c*w_<i xy w_>i, with s_i = 1 where w_i = x and -1 where
-    w_i = y. Every word it keeps is interned, as in the diamond memo.
-    ``t_list`` is the same T on V_n, by slices of a coefficient list.
-
-    Proof that T(w) = w ◇ y for every word w. Take the right factor y = 1·y
-    in the diamond rules: 1 ◇ y = y, vx ◇ y = (v ◇ y)x + (vx ◇ 1)y and
-    vy ◇ y = (v ◇ y)y - (vx ◇ 1)y. So T(1) = y and T(vp) = T(v)p + s_p vxy,
-    with s_x = 1 and s_y = -1. Induct on the length n of w = vp: if
-    T(v) = yv + Σ_{i<n} s_i v_<i xy v_>i, then T(v)p appends p to every
-    term, giving y(vp) and the terms for the letters i < n of vp, and
-    s_p vxy = s_p (vp)_<n xy is the term for its last letter. The product
-    is bilinear, so T on a polynomial is the sum over its terms."""
-    out: dict[str, Scalar] = {}
-    get = out.get
-    for w, c in v.terms.items():
-        out["y" + w] = get("y" + w, 0) + c
-        for i, a in enumerate(w):
-            k = w[:i] + "xy" + w[i + 1:]
-            out[k] = get(k, 0) + (c if a == "x" else -c)
-    # the pruning pass interns each surviving word
-    return Poly._wrap({sys.intern(k): c for k, c in out.items() if c})
-
-
 @cache
 def words_ending_in_y(n: int) -> tuple[str, ...]:
     """V_n: the interned words of length n >= 1 that end in y, lexicographic
@@ -197,7 +172,17 @@ def r_list(c: list[Scalar]) -> list[Scalar]:
 
 
 def t_list(c: list[Scalar]) -> list[Scalar]:
-    """``op_Y`` on the coefficient list of a value in V_n, n >= 1.
+    """T = · ◇ y on the coefficient list of a value in V_n, n >= 1.
+
+    The closed form. T(w) = yw + Σ_i s_i w_<i xy w_>i for every word w,
+    with s_i = 1 where w_i = x and -1 where w_i = y. Proof: take the right
+    factor y = 1·y in the diamond rules: 1 ◇ y = y, vx ◇ y = (v ◇ y)x +
+    (vx ◇ 1)y and vy ◇ y = (v ◇ y)y - (vx ◇ 1)y. So T(1) = y and T(vp) =
+    T(v)p + s_p vxy. Induct on the length n of w = vp: if T(v) = yv +
+    Σ_{i<n} s_i v_<i xy v_>i, then T(v)p appends p to every term, giving
+    y(vp) and the terms for the letters i < n of vp, and s_p vxy =
+    s_p (vp)_<n xy is the term for its last letter. The product is
+    bilinear, so T on a polynomial is the sum over its terms.
 
     The index map. Let w = a_0 ... a_(n-2) y have index u (bits a_i). In
     T(w) = yw + Σ_i s_i w_<i xy w_>i, yw has index (1 << (n-1)) | u: y·V_n

@@ -405,7 +405,7 @@ class TestColdAndWarm:
         names = {fn.__name__: fn for fn in treealg_caches()}
         assert set(names) >= {
             "_diamond_pair", "sigma_forest", "_on_word", "_right_factors", "_on_x",
-            "_groups_on_x", "_vanishes_on_x", "_sigma_list", "_ladder_product", "_pieces",
+            "_groups_on_x", "_vanishes_on_x", "_sigma_list", "_pieces",
             "ladder", "enumerate_trees", "enumerate_forests", "basis_forests", "_k_system",
             "APPEND_X", "APPEND_Y", "_R_XY", "_R_YY", "words_ending_in_y", "word_index",
         }

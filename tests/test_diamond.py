@@ -1,6 +1,5 @@
 import importlib
 import random
-import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,7 +8,6 @@ from treealg import (
     Forest,
     HElem,
     LEAF,
-    basis_forests,
     build_fmn,
     diamond,
     enumerate_forests,
@@ -27,7 +25,6 @@ from treealg.words import (
     Z,
     coefficient_list,
     op_R,
-    op_Y,
     poly_from_list,
     words_ending_in_y,
 )
@@ -205,34 +202,6 @@ class TestLeafRule:
         for d in range(9):
             for f in enumerate_forests(d):
                 assert sigma_forest(f) == reference_sigma(f, memo), f
-
-    def test_needs_no_sparse_T(self, monkeypatch):
-        # op_Y stays the reference: sigma of the basis family and of every
-        # forest with a leaf factor runs from cold memos with it unusable
-        def unusable(v):
-            raise AssertionError("op_Y called")
-
-        bound = [
-            (module, attr)
-            for name, module in list(sys.modules.items())
-            if name == "treealg" or name.startswith("treealg.")
-            for attr, obj in list(vars(module).items())
-            if obj is op_Y
-        ]
-        assert len(bound) >= 2  # treealg.op_Y and treealg.words.op_Y
-        for module, attr in bound:
-            monkeypatch.setattr(module, attr, unusable)
-        clear_caches()
-        try:
-            for d in range(1, 9):
-                for f in basis_forests(d):
-                    sigma_forest(f)
-            for d in range(2, 8):
-                for f in enumerate_forests(d):
-                    if f.trees[0] is LEAF and len(f.trees) > 1:
-                        assert sigma_forest(f).homogeneous_degree() == d
-        finally:
-            clear_caches()
 
     def test_sigma_fills_no_diamond_memo(self):
         # leaf factors take T and other products the dense diamond product,

@@ -16,6 +16,7 @@ from treealg import (
     build_fmn,
     check_mod2_invertible,
     decompose,
+    diamond,
     enumerate_forests,
     ladder,
     parse_forest,
@@ -24,7 +25,7 @@ from treealg import (
     sigma_kernel,
     words_ending_in_y,
 )
-from treealg.words import Poly, op_Y, word_index
+from treealg.words import Poly, Y, word_index
 
 from conftest import clear_caches
 
@@ -287,11 +288,11 @@ class TestWordTables:
             with pytest.raises(ValueError, match="degree must be >= 1"):
                 words_ending_in_y(d)
 
-    def test_t_rows_are_the_op_Y_rows(self):
+    def test_t_rows_are_the_rows_of_diamond_with_y(self):
         for d in range(2, 11):
             index = word_index(d)
             want = [
-                {(index[w], c) for w, c in op_Y(Poly.from_word(vy)).terms.items()}
+                {(index[w], c) for w, c in diamond(Poly.from_word(vy), Y).terms.items()}
                 for vy in words_ending_in_y(d - 1)
             ]
             assert [set(linalg._t_row(v, d)) for v in range(2 ** (d - 2))] == want, d

@@ -1,4 +1,5 @@
 import importlib
+import sys
 
 import pytest
 
@@ -6,6 +7,8 @@ from treealg import (
     HElem,
     build_fmn,
     diamond,
+    forest_product,
+    ladder,
     op_R,
     parse_helem,
     print_helem,
@@ -20,6 +23,8 @@ from treealg.words import ONE, Poly, Y, coefficient_list
 from conftest import clear_caches
 
 relations = importlib.import_module("treealg.relations")
+# the package attribute treealg.diamond is the function, not the module
+diamond_module = importlib.import_module("treealg.diamond")
 
 
 class TestConstruction:
@@ -188,13 +193,43 @@ class TestWordRouteRightHandSide:
         assert relations._pieces.cache_info().currsize == 8
 
     def test_left_side_shares_the_ladder_products(self):
-        # the pieces of (2, 4) take L_i <> L_j for the six pairs above other
-        # than {0, 0}, whose product is the unit, and the left-hand side
-        # adds {2, 4}; (1, 3) then reads only these
+        # the pieces of (2, 4) read L_i <> L_j from sigma's list memo for
+        # the six pairs above other than {0, 0}, whose product is the unit,
+        # and the left-hand side adds {2, 4}; (1, 3) then reads only these
         clear_caches()
         assert verify_r_identity(2, 4)
-        info = relations._ladder_product.cache_info()
-        assert info.currsize == 7
+        sigma_list = diamond_module._sigma_list
+        info = sigma_list.cache_info()
+        for i, j in [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 4)]:
+            sigma_list(forest_product(ladder(i), ladder(j)))
         assert verify_r_identity(1, 3)
-        after = relations._ladder_product.cache_info()
+        after = sigma_list.cache_info()
         assert (after.currsize, after.misses) == (info.currsize, info.misses)
+
+    def test_sigma_route_leaves_no_product_to_compute(self, monkeypatch):
+        # sigma of f_{m,n} reaches every two-ladder forest ladder(i) ladder(j)
+        # that the word route reads, so after it the word route multiplies
+        # nothing: every binding of the dense product counts its calls
+        calls = []
+        dense = diamond_module._diamond_dense
+
+        def counting(cv, cw):
+            calls.append(None)
+            return dense(cv, cw)
+
+        bound = [
+            (module, attr)
+            for name, module in list(sys.modules.items())
+            if name == "treealg" or name.startswith("treealg.")
+            for attr, obj in list(vars(module).items())
+            if obj is dense
+        ]
+        for module, attr in bound:
+            monkeypatch.setattr(module, attr, counting)
+        for m, n in [(2, 3), (3, 3), (4, 2), (3, 5)]:
+            clear_caches()
+            assert sigma(build_fmn(m, n)).is_zero()
+            assert calls, (m, n)
+            calls.clear()
+            assert verify_r_identity(m, n)
+            assert not calls, (m, n)

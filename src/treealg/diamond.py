@@ -53,17 +53,14 @@ of peak memory, not 217 MB, for 18 factors.) ``_sigma_list`` caches forest
 values as lists, and ``sigma_forest``, for callers that want one forest's
 value, as ``Poly``, built once from the list. ``sigma`` of a combination
 sums the lists of each degree by ``lincomb.sum_lists`` and turns each sum
-into a ``Poly`` once, so it fills no ``sigma_forest`` entry; only a mix of
-int and ``Fraction`` coefficients is folded by ``lincomb.linear`` over
-``sigma_forest``, as the plain fold keeps the type of a word whose
-running sum cancels to 0 before a later int term, and a grouped sum does
-not. The caches are ``functools.cache`` (``cache_info()``,
+into a ``Poly`` once, so it fills no ``sigma_forest`` entry, whatever its
+coefficients. The caches are ``functools.cache`` (``cache_info()``,
 ``cache_clear()``). ``_diamond_pair`` appends its last letters through
 the word tables of ``words``, and ``poly_from_list`` takes the words of
 the V_n table, so every word in either memo is the one interned ``str``
-for it. Every sum accumulates into fresh dicts or lists, all-``Fraction``
-coefficients are summed in ints (``lincomb``), and cached values, lists
-included, are never mutated.
+for it. Every sum accumulates into fresh dicts or lists, ``sigma`` and
+``diamond`` run on the int numerators of their input (``lincomb``), and
+cached values, lists included, are never mutated.
 """
 from __future__ import annotations
 
@@ -71,7 +68,7 @@ from functools import cache
 from operator import add, sub
 
 from .hopf import HElem
-from .lincomb import Scalar, add_into, linear, numerators, over, sum_lists
+from .lincomb import Scalar, add_into, numerators, over, sum_lists
 from .trees import EMPTY_FOREST, Forest, LEAF
 from .words import APPEND_X, APPEND_Y, ONE, Poly, poly_from_list, r_list, t_list
 
@@ -118,15 +115,15 @@ def _diamond_pair(a: str, b: str) -> Poly:
 
 
 def diamond(v: Poly, w: Poly) -> Poly:
-    """Bilinear extension of the word-level diamond recursion; a factor whose
-    coefficients are all ``Fraction`` is summed as numerators over their lcm."""
+    """Bilinear extension of the word-level diamond recursion, on the int
+    numerators of each factor, divided once by their denominators."""
     left, lden = numerators(v.terms)
     right, rden = numerators(w.terms)
     acc: dict[str, Scalar] = {}
     for a, ca in left.items():
         for b, cb in right.items():
             add_into(acc, _diamond_words(a, b).terms, ca * cb)
-    return Poly._wrap(over(acc, lden * rden if lden and rden else lden or rden))
+    return Poly._wrap(over(acc, lden * rden))
 
 
 def _move_right(out: list, src: list, i: int, j: int, t: int) -> None:
@@ -187,13 +184,9 @@ def sigma_forest(f: Forest) -> Poly:
 
 def sigma(a: HElem) -> Poly:
     """Linear extension of the forest-to-polynomial homomorphism: the
-    forest lists of each degree summed by ``sum_lists``, all-``Fraction``
-    coefficients as int numerators over their lcm. A mix of int and
-    ``Fraction`` coefficients is folded by ``linear``, which keeps the
-    plain sum's type at each word."""
+    forest lists of each degree summed by ``sum_lists`` on the int
+    numerators of the coefficients, divided once by their denominators."""
     coeffs, den = numerators(a.terms)
-    if any(type(c) is not int for c in coeffs.values()):
-        return Poly._wrap(linear(a.terms, lambda f: sigma_forest(f).terms))
     acc = {"": coeffs[EMPTY_FOREST]} if EMPTY_FOREST in coeffs else {}
     sums = sum_lists((f.degree, _sigma_list(f), c) for f, c in coeffs.items() if f.trees)
     for col in sums.values():

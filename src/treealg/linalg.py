@@ -51,8 +51,9 @@ otherwise x += 2^k y and r = (r - K_dᵀ y)/2. Small integer solutions, the
 usual case, stop within a few steps. If none is found within the Hadamard
 bound, the entries are rationals with odd denominators, which rational
 reconstruction recovers and an exact product checks. Every level checks
-R(p) + T(q) = t term by term. ``Fraction`` coefficients are scaled to
-integers by the lcm of their denominators, and divided once at the end.
+R(p) + T(q) = t term by term. The input runs on its int numerators
+(``lincomb.numerators``), and the coordinates are divided once at the end
+by ``lincomb.over``, so an integral coordinate is an int.
 """
 from __future__ import annotations
 
@@ -63,7 +64,7 @@ from operator import add
 
 from .diamond import _sigma_list
 from .hopf import HElem
-from .lincomb import sum_lists
+from .lincomb import Scalar, numerators, over, sum_lists
 from .trees import EMPTY_FOREST, Forest, LEAF, bplus, enumerate_forests, forest_product
 from .words import r_list, t_list
 
@@ -380,7 +381,7 @@ def _coords(t: list[int], d: int) -> tuple[list[int], int]:
     return out, scale * den
 
 
-def decompose(f: HElem, d: int) -> dict[Forest, Fraction]:
+def decompose(f: HElem, d: int) -> dict[Forest, Scalar]:
     """Coefficients expressing f's polynomial value over the degree-d basis
     family's values, in ``basis_forests(d)`` order. Input must be
     d-homogeneous."""
@@ -389,11 +390,10 @@ def decompose(f: HElem, d: int) -> dict[Forest, Fraction]:
     deg = f.homogeneous_degree()
     if deg is None or (not f.is_zero() and deg != d):
         raise ValueError(f"input is not {d}-homogeneous")
-    sums = sum_lists((d, _sigma_list(u), c) for u, c in f.terms.items())
-    target = sums.get(d, [0] * (1 << (d - 1)))
-    den = lcm(*(c.denominator for c in target))
-    coords, scale = _coords([c.numerator * (den // c.denominator) for c in target], d)
-    return {u: Fraction(c, den * scale) for u, c in zip(basis_forests(d), coords)}
+    coeffs, den = numerators(f.terms)
+    sums = sum_lists((d, _sigma_list(u), c) for u, c in coeffs.items())
+    coords, scale = _coords(sums.get(d, [0] * (1 << (d - 1))), d)
+    return over(dict(zip(basis_forests(d), coords)), den * scale)
 
 
 def sigma_kernel(d: int) -> list[HElem]:

@@ -2,36 +2,43 @@
 
 A combination is an immutable map key -> nonzero rational. ``LinComb``
 owns the linear structure (sums, negation, scalar multiples, type-strict
-equality, zero-pruning) and the degrees of its keys, read through
-``_degree``, which ``Poly`` (word length) and ``HElem`` (forest degree) set;
-each subclass adds its own key type, product and printer. Sums are
-accumulated in place: ``add_into`` and, for words, ``add_concat_into`` add
-into a plain dict, which becomes a combination once at the end, so a k-term
-sum costs O(total terms), not O(k^2). Accumulators are always fresh dicts:
-a value's ``terms``, memoized or not, is only ever read, never mutated.
+equality, zero-pruning, the coefficient rule below) and the degrees of its
+keys, read through ``_degree``, which ``Poly`` (word length) and ``HElem``
+(forest degree) set; each subclass adds its own key type, product and
+printer. Sums are accumulated in place: ``add_into`` and, for words,
+``add_concat_into`` add into a plain dict, which becomes a combination once
+at the end, so a k-term sum costs O(total terms), not O(k^2). Accumulators
+are always fresh dicts: a value's ``terms``, memoized or not, is only ever
+read, never mutated.
+
+The coefficient rule. A coefficient is an ``int`` when it is integral,
+and otherwise a ``Fraction`` with denominator > 1, so its type follows from
+its value and no order of summation can change it. ``normalized`` enforces
+it where a ``Fraction`` can become integral: the public ``LinComb``
+constructor (and with it scalar multiples and products), sums,
+``parse_terms`` and, in ``words``, ``Poly.__mul__``, ``op_R`` and
+``poly_from_list``. It looks at the types of a result once, and rewrites
+only a result that holds a ``Fraction``. The internal ``_wrap`` path does
+not check: the memoized maps build their values from ints alone.
 
 Every map on forests (sigma, the coproduct, the rooted-tree-map action) is
 defined on single keys and extended linearly by ``linear``, which sums the
 memoized values, whose coefficients are ints, with the coefficients of its
-input as scales. When those are all ``Fraction``, as the kernel vectors and
-decompositions of ``linalg`` are, the sum runs in ints: ``numerators``
-rewrites them once as int numerators over L, the lcm of their denominators,
-and ``over`` divides each surviving key once by L. So a term costs one int
-operation, not two ``Fraction`` ones. In the plain fold every contribution,
-and so every surviving key, of such an input is a ``Fraction``; ``over``
-makes each one a ``Fraction`` too, so the coefficient types do not change.
-Any other input is summed as it is, with no rewriting. The diamond product,
-the one bilinear map, rewrites each factor the same way.
+input as scales. Each public map scales its input to ints once:
+``numerators`` rewrites the coefficients as int numerators over L, the lcm
+of their denominators (L = 1, and nothing rewritten, when none is a
+``Fraction``), the map runs on ints, and ``over`` divides each surviving
+key once by L. So a term costs one int operation, not two ``Fraction``
+ones, whatever mix of ints and ``Fraction``s the input holds. The diamond
+product, the one bilinear map, rewrites each factor the same way.
 
 Values that are coefficient lists over one V_n (the dense routes of
 ``words``) are summed by ``sum_lists``, one list per key: the lists of one
 key and one coefficient are summed column by column and scaled once, as
 a relation's coefficients are few and repeat. σ of a combination, the
 values on x and the coproduct groups of ``value_on_x``, the right-hand
-side of the word route and the target of ``decompose`` all sum that way.
-With int coefficients each entry has the plain fold's type; a mix of int
-and ``Fraction`` coefficients can differ from the dict fold, which drops a
-key whose running sum cancels, so σ folds such input by ``linear``.
+side of the word route and the target of ``decompose`` all sum that way,
+each on int coefficients.
 
 The signed-term text form "a - b + c" is printed by ``format_terms`` and
 read back by ``parse_terms``, whose coefficients ("p" or "p/q") are read by
@@ -55,11 +62,7 @@ def add_into(acc: dict, terms: Mapping, scale: Scalar = 1) -> None:
     ``terms`` holds no zero coefficient and ``scale`` is nonzero, as for the
     terms of a combination and its coefficients."""
     if not acc:
-        # 0 + c has the type of c, and so has 1 * c for the int 1
-        if scale == 1 and type(scale) is int:
-            acc.update(terms)
-        else:
-            acc.update({k: scale * c for k, c in terms.items()})
+        acc.update(terms if scale == 1 else {k: scale * c for k, c in terms.items()})
         return
     get = acc.get
     for k, c in terms.items():
@@ -70,23 +73,29 @@ def add_into(acc: dict, terms: Mapping, scale: Scalar = 1) -> None:
             del acc[k]
 
 
-def numerators(terms: Mapping) -> tuple[Mapping, int | None]:
-    """(numerators, L): if every coefficient is a ``Fraction``, each one as
-    an int numerator over L, the lcm of the denominators; else (terms, None).
-    The test stops at the first coefficient that is not a ``Fraction``."""
-    for c in terms.values():
-        if type(c) is not Fraction:
-            return terms, None
+def normalized(terms: dict) -> dict:
+    """``terms`` under the coefficient rule, each integral ``Fraction`` made
+    an int; ``terms`` itself when it holds no ``Fraction``."""
+    if Fraction not in set(map(type, terms.values())):
+        return terms
+    return {k: c.numerator if c.denominator == 1 else c for k, c in terms.items()}
+
+
+def numerators(terms: Mapping) -> tuple[Mapping, int]:
+    """(numerators, L): each coefficient as an int numerator over L, the lcm
+    of the denominators; (terms, 1) when no coefficient is a ``Fraction``."""
+    if Fraction not in set(map(type, terms.values())):
+        return terms, 1
     den = lcm(*(c.denominator for c in terms.values()))
     return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
 
 
-def over(acc: dict, den: int | None) -> dict:
-    """The sum ``acc`` of numerators over ``den`` as ``Fraction``s; ``acc``
-    itself if den is None (the sum was not rewritten by ``numerators``)."""
-    if den is None:
+def over(acc: dict, den: int) -> dict:
+    """The sum ``acc`` of int numerators over ``den``, by the coefficient
+    rule: ``acc`` itself if den is 1, else each n/den, an int if integral."""
+    if den == 1:
         return acc
-    return {k: Fraction(n, den) for k, n in acc.items()}
+    return {k: n // den if n % den == 0 else Fraction(n, den) for k, n in acc.items()}
 
 
 def add_concat_into(acc: dict, left: Mapping, right: Mapping) -> None:
@@ -102,8 +111,8 @@ def add_concat_into(acc: dict, left: Mapping, right: Mapping) -> None:
 
 def linear(terms: Mapping, value: Callable[[Hashable], Mapping]) -> dict:
     """The linear extension of ``value``: the sum of c * value(k) over the
-    terms c * k, as a fresh dict with zero sums dropped. All-``Fraction``
-    coefficients are summed as int numerators over their lcm."""
+    terms c * k, as a fresh dict with zero sums dropped, on the int
+    numerators of the coefficients, divided once by their denominators."""
     coeffs, den = numerators(terms)
     acc: dict = {}
     for k, c in coeffs.items():
@@ -115,8 +124,8 @@ def sum_lists(terms: Iterable[tuple[Hashable, list, Scalar]]) -> dict:
     """The sum of c * v over the triples (key, v, c), one list per key: the
     lists v of one key have one length. The lists of one key and one c are
     summed column by column, then scaled once by c. Exact for any
-    coefficients; with int coefficients every entry is the plain fold's,
-    type included. The lists v are only read, never mutated."""
+    coefficients; the library passes int ones (see ``numerators``). The
+    lists v are only read, never mutated."""
     parts: dict = {}
     for key, v, c in terms:
         parts.setdefault((key, c), []).append(v)
@@ -153,8 +162,9 @@ def skip_while(text: str, i: int, test: Callable[[str], bool] = str.isspace) -> 
 
 def read_rational(text: str, i: int, error: Callable) -> tuple[Scalar | None, int]:
     """The rational "p" or "p/q" at text[i], blanks allowed around "/", and
-    the index just past it; (None, i) if no digit is at i. A whole value is
-    an int. A missing or zero denominator raises error(message, position)."""
+    the index just past it; (None, i) if no digit is at i. "p" is an int
+    and "p/q" a ``Fraction``, which ``parse_terms`` gives by the coefficient
+    rule. A missing or zero denominator raises error(message, position)."""
     j = skip_while(text, i, str.isdecimal)
     if j == i:
         return None, i
@@ -168,8 +178,7 @@ def read_rational(text: str, i: int, error: Callable) -> tuple[Scalar | None, in
     den = int(text[k:m])
     if not den:
         raise error("zero denominator", k)
-    q = Fraction(int(text[i:j]), den)
-    return (int(q) if q.denominator == 1 else q), m
+    return Fraction(int(text[i:j]), den), m
 
 
 def parse_terms(text: str, read_term: Callable, error: Callable, what: str) -> dict:
@@ -197,7 +206,7 @@ def parse_terms(text: str, read_term: Callable, error: Callable, what: str) -> d
         start = stop + 1
     if last_sign is not None:
         raise error("dangling sign", last_sign)
-    return acc
+    return normalized(acc)
 
 
 class LinComb:
@@ -206,7 +215,7 @@ class LinComb:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping | None = None):
-        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
+        self.terms = normalized({k: c for k, c in terms.items() if c}) if terms else {}
 
     @classmethod
     def _wrap(cls: type[C], terms: dict) -> C:
@@ -236,7 +245,7 @@ class LinComb:
             return NotImplemented
         acc = dict(self.terms)
         add_into(acc, other.terms, scale)
-        return self._wrap(acc)
+        return self._wrap(normalized(acc))
 
     def __add__(self: C, other: C) -> C:
         return self._plus(other, 1)

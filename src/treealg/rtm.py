@@ -38,11 +38,10 @@ coproduct sum c_f delta(f), and F(vy) = F(v)y minus the words of F(vx)
 ending in y. Terms of the coproduct and groups that cancel are dropped
 before any word product is expanded: the relations f_{m,n} vanish, so F(v)
 is zero and most of H_F cancels.
-``rtm_apply`` takes this route for a combination of two or more forests
-whose coefficients are ints, or all ``Fraction`` (summed in ints, see
-``lincomb``), on a polynomial whose coefficients all have one type; then
-every term of the plain per-forest sum has one type, and so has the
-result, key by key. Any other input is summed forest by forest.
+``rtm_apply`` takes this route for every combination of two or more
+forests. It runs on the int numerators of the combination and of the
+polynomial, and divides the result once by their denominators (see
+``lincomb``).
 
 A map is named by a key: a forest, or a frozenset of (forest, int) pairs
 for a combination. ``_on_word`` caches values by (key, word) and
@@ -52,10 +51,12 @@ for a combination. ``_on_word`` caches values by (key, word) and
 forest the composition rule. Every word in either cache is the one interned
 ``str`` for it: F(v)x and F(v)y are built through the word tables of
 ``words``, and the concatenations of the x-step are interned in the pass
-that drops their zero sums. Every linear extension runs through
-``lincomb.linear``, every sum accumulates into a fresh dict, every cached
-value is built compact (no slots left by deleted keys), and cached values
-are never mutated.
+that drops their zero sums. ``rtm_apply`` sums c c_w F(w) over its one
+map F and the words w of its polynomial itself, and so does a composition
+over the words of its inner value; every other linear extension runs
+through ``lincomb.linear``. Every sum accumulates into a fresh dict, every
+cached value is built compact (no slots left by deleted keys), and cached
+values are never mutated.
 
 The value on x, on coefficient lists (``rho_is_zero_on_x``; the functions
 named below are in ``value_on_x``, which it imports on first use, so that
@@ -107,12 +108,11 @@ implementations share no code, and the tests check one against the other.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from functools import cache
 from typing import Union
 
 from .hopf import HElem, _forest_coproduct, coproduct
-from .lincomb import Scalar, add_concat_into, add_into, linear, numerators
+from .lincomb import Scalar, add_concat_into, add_into, linear, numerators, over
 from .trees import EMPTY_FOREST, Forest, LEAF
 from .words import APPEND_X, APPEND_Y, Poly, op_R
 
@@ -145,7 +145,7 @@ def _on_word(key: Key, w: str) -> Poly:
         for u, c in _on_word(key, APPEND_X[v]).terms.items():
             if u[-1] == "y":
                 acc[u] = get(u, 0) - c
-        return Poly(acc)
+        return Poly._wrap({u: c for u, c in acc.items() if c})
     if v:
         # F(vx) = F(v)x + sum of f1(v) H_F[f1]
         acc = {APPEND_X[u]: c for u, c in _on_word(key, v).terms.items()}
@@ -156,14 +156,17 @@ def _on_word(key: Key, w: str) -> Poly:
         # zero sums dropped; the one interned str for each word kept
         return Poly._wrap({sys.intern(u): c for u, c in acc.items() if c})
     if type(key) is not Forest:
-        return Poly(linear(dict(key), lambda f: _on_word(f, "x").terms))
+        return Poly._wrap(dict(linear(dict(key), lambda f: _on_word(f, "x").terms)))
     if len(key.trees) == 1:
         t = key.trees[0]
         return _XY if t is LEAF else op_R(_on_word(t.child_forest(), "x"))
     # composition: first canonical tree applied after the rest
-    head, rest = key.trees[0], Forest(key.trees[1:])
+    head, rest = key.trees[0].as_forest(), Forest(key.trees[1:])
+    acc = {}
+    for u, c in _on_word(rest, "x").terms.items():
+        add_into(acc, _on_word(head, u).terms, c)
     # a compact copy: keys that cancel leave dead slots in the sum
-    return Poly(_on_poly(head.as_forest(), _on_word(rest, "x")))
+    return Poly._wrap(dict(acc))
 
 
 @cache
@@ -181,24 +184,19 @@ def _right_factors(key: Key) -> list[tuple[Forest, dict[str, Scalar]]]:
     return [(f1, dict(h)) for f1, h in groups.items() if h]
 
 
-def _on_poly(key: Key, p: Poly) -> dict[str, Scalar]:
-    acc: dict[str, Scalar] = {}
-    for w, c in p.terms.items():
-        add_into(acc, _on_word(key, w).terms, c)
-    return acc
-
-
 def rtm_apply(f: HElem, w: Poly) -> Poly:
-    """Evaluate the combination f of forests on the polynomial w. A
-    combination of two or more forests with int coefficients, or all
-    ``Fraction`` ones as int numerators over their lcm L scaled by 1/L, on
-    a w whose coefficients have one type, is evaluated as one map."""
-    terms = f.terms
-    if len(terms) > 1 and len(set(map(type, w.terms.values()))) <= 1:
-        coeffs, den = numerators(terms)
-        if all(type(c) is int for c in coeffs.values()):
-            terms = {frozenset(coeffs.items()): 1 if den is None else Fraction(1, den)}
-    return Poly._wrap(linear(terms, lambda key: _on_poly(key, w)))
+    """Evaluate the combination f of forests on the polynomial w, on the int
+    numerators of both, divided once by their denominators. A combination
+    of two or more forests is evaluated as one map."""
+    coeffs, den = numerators(f.terms)
+    words, wden = numerators(w.terms)
+    if len(coeffs) > 1:
+        coeffs = {frozenset(coeffs.items()): 1}
+    acc: dict[str, int] = {}
+    for key, c in coeffs.items():
+        for u, cu in words.items():
+            add_into(acc, _on_word(key, u).terms, c * cu)
+    return Poly._wrap(over(acc, den * wden))
 
 
 def rho_is_zero_on_x(f: HElem) -> bool:

@@ -39,6 +39,7 @@ from .lincomb import (
     LinComb,
     Scalar,
     format_terms,
+    normalized,
     parse_terms,
     read_rational,
     skip_while,
@@ -111,7 +112,9 @@ class Poly(LinComb):
             # left words of one length: u + v determines u and v, so every
             # product is its own term and none is zero
             right = other.terms.items()
-            return Poly._wrap({u + v: a * b for u, a in self.terms.items() for v, b in right})
+            return Poly._wrap(
+                normalized({u + v: a * b for u, a in self.terms.items() for v, b in right})
+            )
         return self._product(other, add)
 
     def __repr__(self) -> str:
@@ -131,7 +134,7 @@ def op_R(v: Poly) -> Poly:
     for w, c in v.terms.items():
         out[_R_XY[w]] = c
         out[_R_YY[w]] = 2 * c
-    return Poly._wrap(out)
+    return Poly._wrap(normalized(out))
 
 
 @cache
@@ -160,7 +163,8 @@ def coefficient_list(v: Poly, n: int) -> list[Scalar]:
 
 def poly_from_list(c: list[Scalar]) -> Poly:
     """The ``Poly`` whose coefficient list over V_n is c, n from len(c)."""
-    return Poly._wrap({w: e for w, e in zip(words_ending_in_y(len(c).bit_length()), c) if e})
+    words = words_ending_in_y(len(c).bit_length())
+    return Poly._wrap(normalized({w: e for w, e in zip(words, c) if e}))
 
 
 def r_list(c: list[Scalar]) -> list[Scalar]:

@@ -1,9 +1,24 @@
 import itertools
 import sys
+from fractions import Fraction
 
 import pytest
 
-from treealg import enumerate_forests, hopf
+from treealg import HElem, enumerate_forests, hopf, parse_forest
+
+# A mixed combination whose Fraction terms cancel at the word xxy before its
+# int term adds to it: the plain fold drops the word and then meets it again,
+# while a grouped sum of the three values meets it once. By the coefficient
+# rule both leave an int there.
+MIXED_CANCEL_FIRST = HElem(
+    {parse_forest("[[[]]]"): Fraction(1, 2), parse_forest("[] [] []"): Fraction(-1, 2),
+     parse_forest("[[][]]"): 1}
+)
+
+
+def follows_coefficient_rule(coeffs):
+    """Whether every coefficient is an int, or a Fraction with denominator > 1."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in coeffs)
 
 
 def all_words(max_len, include_empty=True):

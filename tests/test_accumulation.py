@@ -4,10 +4,11 @@ The reference below is the original formulation, kept on plain dicts: every
 sum is ``out = out + c * p``, where ``+`` copies the whole left operand and
 prunes zeros after each step, and the memo-free recursions follow the
 definitions line by line. The library's diamond, sigma, rtm_apply and
-coproduct must agree with it on the terms and on the type of every
-coefficient, must hold no zero coefficient, and must return an equal result
-when called again, so that a memo entry changed through an aliased
-accumulator shows up.
+coproduct must agree with it on the value of every coefficient, must hold no
+zero coefficient, must follow the coefficient rule (an integral coefficient
+is an int, any other a Fraction), and must return an equal result when
+called again, so that a memo entry changed through an aliased accumulator
+shows up.
 """
 import functools
 import importlib
@@ -15,9 +16,10 @@ import operator
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from treealg import hopf, lincomb
+from treealg import hopf, lincomb, rtm
 from treealg import (
     EMPTY_FOREST,
     HElem,
@@ -32,6 +34,8 @@ from treealg import (
     enumerate_forests,
     forest_product,
     parse_forest,
+    parse_helem,
+    parse_poly,
     rtm_apply,
     sigma,
     sigma_forest,
@@ -39,9 +43,16 @@ from treealg import (
     verify_fmn,
 )
 
-from treealg.words import word_index
+from treealg.words import op_R, poly_from_list, word_index
 
-from conftest import all_words, clear_caches, forests_up_to, treealg_caches
+from conftest import (
+    MIXED_CANCEL_FIRST,
+    all_words,
+    clear_caches,
+    follows_coefficient_rule,
+    forests_up_to,
+    treealg_caches,
+)
 
 # the package attribute treealg.diamond is the function, not the module
 diamond_module = importlib.import_module("treealg.diamond")
@@ -204,8 +215,8 @@ def ref_rtm_apply(f, w):
 
 # --- inputs ------------------------------------------------------------------
 
-# Integers and fractions, including a Fraction with denominator 1, so that a
-# changed coefficient type would show.
+# Integers and fractions, including a Fraction with denominator 1, which the
+# coefficient rule makes an int.
 COEFFS = st.sampled_from([-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(2)])
 WORDS = st.sampled_from(all_words(3))
 FORESTS = st.sampled_from(forests_up_to(4))
@@ -234,24 +245,23 @@ def helems(extra=3):
 
 
 def _assert_matches(compute, args, expected):
+    """compute(*args) against the plain fold ``expected``: equal values, no
+    zero coefficient, the coefficient rule, and an equal result again."""
     result = compute(*args)
     assert result.terms == expected
-    assert {k: type(c) for k, c in result.terms.items()} == {
-        k: type(c) for k, c in expected.items()
-    }
     assert all(result.terms.values())
+    assert follows_coefficient_rule(result.terms.values())
     again = compute(*args)
     assert again == result
-    assert {k: type(c) for k, c in again.terms.items()} == {
-        k: type(c) for k, c in result.terms.items()
-    }
+    assert follows_coefficient_rule(again.terms.values())
 
 
 RELATIONS = [build_fmn(m, n) for m, n in [(1, 1), (1, 2), (2, 2), (1, 3)]]
 
-# All-Fraction inputs, summed as int numerators over one common denominator:
-# an integral Fraction(2), mixed denominators 1/2, 1/3 and 5/6, and the
-# relation f_{2,2} scaled by 1/3, whose sigma and value on x cancel exactly.
+# Fraction inputs, summed as int numerators over one common denominator:
+# Fraction(2), which the constructor makes the int 2, mixed denominators 1/2,
+# 1/3 and 5/6, and the relation f_{2,2} scaled by 1/3, whose sigma and value
+# on x cancel exactly.
 LEAF_F = LEAF.as_forest()
 TWO_LEAVES = forest_product(LEAF_F, LEAF_F)
 LADDER_TWO = bplus(LEAF_F).as_forest()
@@ -261,13 +271,6 @@ MIXED_DENOMINATORS = HElem(
 )
 THIRD_OF_RELATION = HElem(
     {LEAF_F: Fraction(5, 6), **{f: Fraction(c, 3) for f, c in build_fmn(2, 2).terms.items()}}
-)
-# A mixed combination: the Fraction terms cancel at xxy, where the plain
-# fold drops the word, so the later int term leaves an int there; a grouped
-# sum of the three values would leave a Fraction.
-MIXED_CANCEL_FIRST = HElem(
-    {parse_forest("[[[]]]"): Fraction(1, 2), parse_forest("[] [] []"): Fraction(-1, 2),
-     parse_forest("[[][]]"): 1}
 )
 
 
@@ -330,6 +333,41 @@ class TestAgainstFold:
         assert diamond(Poly({"x": 1, "y": -1}), Poly({"x": 1, "y": 1})) == diamond(
             Poly.from_word("x"), Poly.from_word("x")
         ) - diamond(Poly.from_word("y"), Poly.from_word("y"))
+
+
+# --- the coefficient rule on the results the fold tests do not reach --------
+
+HALF = Fraction(1, 2)
+
+# Each result could hold an integral Fraction; its expected terms, keys as text.
+RULE_CASES = {
+    "plus": (lambda: Poly({"x": HALF, "y": 1}) + Poly({"x": HALF}), {"x": 1, "y": 1}),
+    "minus": (lambda: Poly({"x": Fraction(3, 2)}) - Poly({"x": HALF, "y": HALF}),
+              {"x": 1, "y": -HALF}),
+    "scalar": (lambda: Fraction(2, 3) * Poly({"x": Fraction(3, 2), "y": HALF}),
+               {"x": 1, "y": Fraction(1, 3)}),
+    "poly_times_poly": (lambda: Poly({"x": HALF}) * Poly({"y": 2, "x": HALF}),
+                        {"xy": 1, "xx": Fraction(1, 4)}),
+    "op_R": (lambda: op_R(Poly({"y": HALF})), {"xy": HALF, "yy": 1}),
+    "poly_from_list": (lambda: poly_from_list([Fraction(2), HALF]), {"xy": 2, "yy": HALF}),
+    "parse_poly": (lambda: parse_poly("1/2 x + 1/2 x - 1/3 y"), {"x": 1, "y": Fraction(-1, 3)}),
+    "parse_helem": (lambda: parse_helem("1/2*[] + 1/2*[] + 1/3*[[]]"),
+                    {"[]": 1, "[[]]": Fraction(1, 3)}),
+    "decompose": (lambda: decompose(parse_helem("[] [[]] - 1/2*[[[]]] + 1/2*[[][]]"), 3),
+                  {"[[[]]]": -HALF, "[[][]]": HALF, "[] [[]]": 1, "[] [] []": 0}),
+    "sigma_kernel": (lambda: sigma_kernel(4)[0],
+                     {"[[[][]]]": -1, "[[][[]]]": 2, "[[][][]]": -1, "[[]] [[]]": -1,
+                      "[] [[][]]": 1}),
+}
+
+
+@pytest.mark.parametrize("name", RULE_CASES)
+def test_coefficient_rule(name):
+    compute, want = RULE_CASES[name]
+    result = compute()
+    terms = getattr(result, "terms", result)
+    assert {getattr(k, "encoding", k): c for k, c in terms.items()} == want
+    assert follows_coefficient_rule(terms.values())
 
 
 # --- the z-identity behind the rtm letter step -------------------------------
@@ -456,7 +494,8 @@ INT_COEFFS = st.sampled_from([-2, -1, 1, 2, 3])
 FRACTION_COEFFS = st.sampled_from(
     [Fraction(1, 2), Fraction(-1, 2), Fraction(2), Fraction(-5, 6), Fraction(1, 3)]
 )
-ALL_COEFFS = (INT_COEFFS, FRACTION_COEFFS, COEFFS)  # all int, all Fraction, mixed
+# all int; Fraction (Fraction(2) becomes an int); mixed
+ALL_COEFFS = (INT_COEFFS, FRACTION_COEFFS, COEFFS)
 
 
 def _combinations(coeffs):
@@ -486,9 +525,9 @@ def per_forest_sum(f, w):
 
 
 class TestCombinationAsOneMap:
-    """rtm_apply of a combination of forests, evaluated as one map where
-    its coefficients allow, against the sum of its forests' values: equal
-    terms and equal coefficient types, cold and then warm."""
+    """rtm_apply of a combination of forests, evaluated as one map whatever
+    its coefficients, against the sum of its forests' values: equal values
+    and the coefficient rule, cold and then warm."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -500,10 +539,18 @@ class TestCombinationAsOneMap:
     @example(THIRD_OF_RELATION, Poly({"xyx": 1, "y": Fraction(1, 2)}))
     @example(3 * build_fmn(2, 2), Poly({"xxy": 2, "yx": -1}))
     @example(HElem({**build_fmn(1, 3).terms, LEAF_F: Fraction(1, 2)}), Poly({"xx": 1}))
+    @example(MIXED_CANCEL_FIRST, Poly({"xy": 2, "y": Fraction(1, 3)}))
     def test_cold_then_warm(self, f, w):
         expected = per_forest_sum(f, w)
         clear_caches()
         _assert_matches(rtm_apply, (f, w), expected)
+        if len(f.terms) > 1:
+            # the one map, keyed by the int numerators, holds every word of w
+            key = frozenset(lincomb.numerators(f.terms)[0].items())
+            misses = rtm._on_word.cache_info().misses
+            for u in w.terms:
+                rtm._on_word(key, u)
+            assert rtm._on_word.cache_info().misses == misses
 
 
 # --- lincomb.sum_lists against the plain fold --------------------------------

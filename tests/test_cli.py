@@ -16,6 +16,10 @@ from hypothesis import given, settings, strategies as st
 import treealg
 from treealg import cli, selfcheck
 from treealg.cli import MAX_DECOMPOSE_DEGREE, MAX_DENSE_DEGREE, MAX_OUTPUT_DEGREE, run
+from treealg.diamond import _diamond_dense
+from treealg.words import coefficient_list, poly_from_list, print_poly
+
+from conftest import follows_coefficient_rule
 
 # Exact stdout, text and --json, of one command per algebra subcommand: any
 # refactor of the combination classes or their printers must keep it.
@@ -216,28 +220,38 @@ class TestDiamondCommand:
     @settings(max_examples=200, deadline=None)
     @given(_diamond_factors(), _diamond_factors())
     def test_dense_route_equals_diamond_with_types(self, left, right):
+        # equal values, and the coefficient rule on the dense route's result
         got, want = cli._diamond_product(left, right), treealg.diamond(left, right)
         assert got.terms == want.terms
-        assert [type(c) for c in got.terms.values()] == [type(want.terms[k]) for k in got.terms]
+        assert follows_coefficient_rule(got.terms.values())
 
     def test_product_in_v_a_times_v_b_at_the_cap(self):
         # sigma sends products of forests to diamond products, so
         # sigma([[]] x 4) <> sigma([[]] x 4) = sigma([[]] x 8), degree 16; the
         # sparse word recursion runs out of a 3 GB address space on it after
-        # about 60 s, the product on coefficient lists takes under 0.5 s
+        # about 60 s, the product on coefficient lists takes under 0.5 s. With
+        # 1/2 y^8 added to the left factor, its coefficients mix ints and
+        # Fractions and it takes the lists too; its product with the right
+        # factor is taken on lists here
         half, whole = (
-            treealg.print_poly(treealg.sigma(treealg.parse_helem(" ".join(["[[]]"] * k))))
-            for k in (4, 8)
+            treealg.sigma(treealg.parse_helem(" ".join(["[[]]"] * k))) for k in (4, 8)
         )
+        y8 = treealg.Poly.from_word("y" * 8)
+        extra = poly_from_list(_diamond_dense(coefficient_list(y8, 8), coefficient_list(half, 8)))
+        cases = [
+            (half, whole),
+            (half + Fraction(1, 2) * y8, whole + Fraction(1, 2) * extra),
+        ]
 
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-        start = time.perf_counter()
-        done = _run_module("diamond", half, half, preexec_fn=limit)
-        assert time.perf_counter() - start < 10
-        assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout == whole + "\n"
+        for left, product in cases:
+            start = time.perf_counter()
+            done = _run_module("diamond", print_poly(left), print_poly(half), preexec_fn=limit)
+            assert time.perf_counter() - start < 10
+            assert (done.returncode, done.stderr) == (0, "")
+            assert done.stdout == print_poly(product) + "\n"
 
 
 class TestRelationCommand:

@@ -1,5 +1,6 @@
 import importlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,7 +30,7 @@ from treealg.words import (
     words_ending_in_y,
 )
 
-from conftest import all_words, clear_caches
+from conftest import MIXED_CANCEL_FIRST, all_words, clear_caches
 
 # the package attribute treealg.diamond is the function, not the module
 diamond_module = importlib.import_module("treealg.diamond")
@@ -217,7 +218,8 @@ class TestLeafRule:
             clear_caches()
 
     def test_sigma_of_a_combination_fills_no_poly_memo(self):
-        # sigma sums the forest lists, so only _sigma_list is filled
+        # sigma sums the forest lists, so only _sigma_list is filled, for
+        # int, all-Fraction and mixed coefficients alike
         clear_caches()
         try:
             for total in range(2, 9):
@@ -225,6 +227,15 @@ class TestLeafRule:
                     assert sigma(build_fmn(m, total - m)).is_zero()
             for vec in sigma_kernel(5):
                 assert sigma(vec).is_zero()
+            # f_{3,3} has coefficients 1 and 2: halved, it mixes ints and Fractions
+            half_relation = HElem(
+                {f: c // 2 if c % 2 == 0 else Fraction(c, 2)
+                 for f, c in build_fmn(3, 3).terms.items()}
+            )
+            assert half_relation == Fraction(1, 2) * build_fmn(3, 3)
+            assert {type(c) for c in half_relation.terms.values()} == {int, Fraction}
+            assert sigma(half_relation).is_zero()
+            assert not sigma(MIXED_CANCEL_FIRST).is_zero()
             assert diamond_module._sigma_list.cache_info().currsize > 0
             assert sigma_forest.cache_info().currsize == 0
         finally:

@@ -34,12 +34,13 @@ one. Emitting a left letter keeps w·u·s, and so do both ends. So one list
 per j = |w| carries over from i = |u| to i - 1 unchanged, the output is
 the sum of the lists, and the only move that is not the identity on
 indices is the right one: out[w' | u'q̄ | qs] += src[w'q | u'q̄ | s] -
-src[w'q | u'q | s] (``_move_right``), col[j] from col[j + 1], for each i
-from a down to 1 and each j from b - 1 down to 0. The moves out of
-(a, b), v'y ◇ w'y = (v' ◇ w'y)y - (v'x ◇ w')y, are written into the
-initial lists. That is a·b moves of 2^(a+b-2) element pairs each, done by
-``map`` over slices along the longest of the runs s, u' and w'. Memoless
-and dense, it takes and returns coefficient lists.
+src[w'q | u'q | s], col[j] from col[j + 1], for each i from a down to 1
+and each j from b - 1 down to 0. For each q it is one
+``words.add_difference`` over the box of the runs s, u' and w'. The moves
+out of (a, b), v'y ◇ w'y = (v' ◇ w'y)y - (v'x ◇ w')y, are added into the
+initial lists by two ``words.add_outer`` of v' and w'. That is a·b moves
+of 2^(a+b-2) element pairs each. Memoless and dense, it takes and returns
+coefficient lists.
 
 The public ``diamond`` is the sparse word recursion, for any polynomial:
 the action bridge's single words, some ending in x, and the reference of
@@ -65,12 +66,12 @@ cached values, lists included, are never mutated.
 from __future__ import annotations
 
 from functools import cache
-from operator import add, sub
 
 from .hopf import HElem
 from .lincomb import Scalar, add_into, numerators, over, sum_lists
 from .trees import EMPTY_FOREST, Forest, LEAF
-from .words import APPEND_X, APPEND_Y, ONE, Poly, poly_from_list, r_list, t_list
+from .words import (APPEND_X, APPEND_Y, ONE, Poly, add_difference, add_outer, poly_from_list,
+                    r_list, t_list)
 
 _APPEND = {"x": APPEND_X, "y": APPEND_Y}
 _APPEND_FLIP = {"x": APPEND_Y, "y": APPEND_X}
@@ -126,25 +127,6 @@ def diamond(v: Poly, w: Poly) -> Poly:
     return Poly._wrap(over(acc, lden * rden))
 
 
-def _move_right(out: list, src: list, i: int, j: int, t: int) -> None:
-    """out[w' | u'q̄ | qs] += src[w'q | u'q̄ | s] - src[w'q | u'q | s] for
-    q = x, y, on the indices of V_(i+j+t+2): |u'| = i - 1, |w'| = j, and s
-    has t letters before its last y. One ``map`` runs along the longest of
-    the runs s, u' and w' for each point of the other two."""
-    top = 1 << (t + i)  # the bit of q in src
-    *outer, (n, ss, ts) = sorted(
-        [(1 << t, 1, 1), (1 << (i - 1), 2 << t, 4 << t), (1 << j, 2 * top, 2 * top)]
-    )
-    (n0, s0, t0), (n1, s1, t1) = outer
-    offsets = [(k0 * s0 + k1 * s1, k0 * t0 + k1 * t1) for k0 in range(n0) for k1 in range(n1)]
-    # q = x, then q = y: the offsets of p = q̄, of p = q and of q̄q
-    for plus, minus, dest in ((1 << t, 0, 2 << t), (top, top + (1 << t), 1 << t)):
-        for o, d in offsets:
-            r = slice(dest + d, dest + d + n * ts, ts)
-            p, q = plus + o, minus + o
-            out[r] = map(add, out[r], map(sub, src[p:p + n * ss:ss], src[q:q + n * ss:ss]))
-
-
 def _diamond_dense(cv: list[Scalar], cw: list[Scalar]) -> list[Scalar]:
     """v ◇ w on the coefficient lists of v in V_a and w in V_b, a, b >= 1
     (see the module docstring)."""
@@ -152,14 +134,18 @@ def _diamond_dense(cv: list[Scalar], cw: list[Scalar]) -> list[Scalar]:
     m, h = a + b - 1, 1 << (a - 1)
     col = [[0] * (1 << m) for _ in range(b + 1)]
     # v'y ◇ w'y = (v' ◇ w'y)y - (v'x ◇ w')y: the states (a - 1, b) and (a, b - 1)
-    for k, c in enumerate(cw):
-        if c:
-            col[b][(2 * k + 1) * h:(2 * k + 2) * h] = [c * e for e in cv]
-            col[b - 1][2 * k * h:(2 * k + 2) * h:2] = [-c * e for e in cv]
+    add_outer(col[b], cv, cw, h, 0, 2 * h, h)
+    add_outer(col[b - 1], [-e for e in cv], cw, 1, 2, 2 * h, 0)
     for i in range(a, 0, -1):
         # the row i = a starts at (a, b - 1), the rows below it at (i, b)
         for j in range(b - 1 - (i == a), -1, -1):
-            _move_right(col[j], col[j + 1], i, j, m - i - j - 1)
+            # the runs s (t letters before its last y), u' and w', and the bit
+            # of q in src; q = x, then q = y
+            t = m - i - j - 1
+            top = 1 << (t + i)
+            axes = [(1 << t, 1, 1), (1 << (i - 1), 4 << t, 2 << t), (1 << j, 2 * top, 2 * top)]
+            add_difference(col[j], col[j + 1], 2 << t, 1 << t, 0, axes)
+            add_difference(col[j], col[j + 1], 1 << t, top, top + (1 << t), axes)
     return list(map(sum, zip(*col)))
 
 

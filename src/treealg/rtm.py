@@ -91,7 +91,8 @@ length i to i - 1, and the only move is
 
     out_f1[u'hs] += c_h (src_g[u'xs] - src_g[u'ys])
 
-(``_add_outer``: one ``map`` along the longest of the runs u', h and s).
+(``words.add_outer`` of the difference and H_g[f1]; the difference itself
+is one ``words.add_difference`` over the runs u' and s).
 The moves out of P's last letter y, with s empty, are written into the
 initial lists; then i runs from n - 1 down to 1. At each i the forests are
 visited in increasing degree, so f1 (deg f1 < deg g) has made its level-i

@@ -5,19 +5,19 @@ The derivation and the list layout are in the ``rtm`` docstring: ``_on_x``
 keeps f(x) = xw as w's coefficient list over V_(deg f), ``_tree_on`` runs
 the backward pass for a product t·rest, ``_groups_on_x`` sums the groups
 H_g[f1] per left factor f1, and ``_vanishes_on_x`` sums the lists of a
-combination per degree, both by ``lincomb.sum_lists``. All four caches
-are ``functools.cache``.
+combination per degree, both by ``lincomb.sum_lists``. The strided moves
+of the pass are the two kernels of ``words``. All three caches (``_on_x``,
+``_groups_on_x``, ``_vanishes_on_x``) are ``functools.cache``.
 """
 from __future__ import annotations
 
 from functools import cache
-from itertools import repeat
-from operator import add, attrgetter, mul, sub
+from operator import attrgetter
 
 from .hopf import _forest_coproduct
 from .lincomb import Scalar, sum_lists
 from .trees import EMPTY_FOREST, Forest, LEAF
-from .words import r_list
+from .words import add_difference, add_outer, r_list
 
 
 @cache
@@ -39,23 +39,6 @@ def _groups_on_x(g: Forest) -> list[tuple[Forest, list[Scalar]]]:
     return [(f1, h) for f1, h in groups.items() if any(h)]
 
 
-def _add_outer(out: list, d: list, h: list, ns: int, su: int, sh: int, off: int) -> None:
-    """out[off + u su + k sh + r] += d[u ns + r] h[k] for r < ns: one ``map``
-    along the longest of the runs u, k and r for each point of the other two."""
-    nu, nh = len(d) // ns, len(h)
-    if nh >= nu and nh >= ns:
-        n, runs = nh, ((off + i // ns * su + i % ns, sh, h, e) for i, e in enumerate(d) if e)
-    elif ns >= nu:
-        n, runs = ns, ((off + u * su + k * sh, 1, d[u * ns:(u + 1) * ns], c)
-                       for k, c in enumerate(h) if c for u in range(nu))
-    else:
-        n, runs = nu, ((off + k * sh + r, su, d[r::ns], c)
-                       for k, c in enumerate(h) if c for r in range(ns))
-    for o, step, v, c in runs:
-        r = slice(o, o + n * step, step)
-        out[r] = map(add, out[r], map(mul, v, repeat(c)))
-
-
 def _tree_on(t: Forest, p: list[Scalar], n: int) -> list[Scalar]:
     """t(xw) for w in V_(n - 1) with coefficient list p, n >= 2, as a list
     over V_(n - 1 + deg t), by the backward pass of the ``rtm`` docstring."""
@@ -67,7 +50,7 @@ def _tree_on(t: Forest, p: list[Scalar], n: int) -> list[Scalar]:
     # the moves out of the last letter y: states (f1, u', h) with -c_h P[u'y]
     neg = [-c for c in p]
     for f1, h in _groups_on_x(t):
-        _add_outer(lists[f1], neg, h, 1, 2 * len(h), 1, 0)
+        add_outer(lists[f1], neg, h, 1, 2 * len(h), 1, 0)
     for i in range(n - 1, 0, -1):
         for g, src in lists.items():
             groups = _groups_on_x(g)
@@ -76,17 +59,12 @@ def _tree_on(t: Forest, p: list[Scalar], n: int) -> list[Scalar]:
             # d[u's] = src[u'xs] - src[u'ys], with |u'| = i - 1 and ns words s;
             # at i = 1, u' is empty and every state word starts with x
             ns = len(src) >> (i - 1)
-            if i == 1:
-                d = src
-            elif 2 * ns * ns >= len(src):
-                d = [e for a in range(0, len(src), 2 * ns)
-                     for e in map(sub, src[a:a + ns], src[a + ns:a + 2 * ns])]
-            else:
+            d = src
+            if i > 1:
                 d = [0] * (len(src) // 2)
-                for r in range(ns):
-                    d[r::ns] = map(sub, src[r::2 * ns], src[ns + r::2 * ns])
+                add_difference(d, src, 0, 0, ns, [(len(d) // ns, ns, 2 * ns), (ns, 1, 1)])
             for f1, h in groups:
-                _add_outer(lists[f1], d, h, ns, 4 * len(h) * ns, 2 * ns, ns)
+                add_outer(lists[f1], d, h, ns, 4 * len(h) * ns, 2 * ns, ns)
     return lists[EMPTY_FOREST]
 
 

@@ -15,6 +15,15 @@ bits, x = 0, and n is read from the length 2^(n-1). ``r_list`` and
 ``poly_from_list`` convert between lists and ``Poly``, and the dense
 routes of the other modules pass lists from step to step.
 
+This module also owns the strided moves on that layout, as two kernels.
+``add_difference`` adds the difference of two strided boxes of one list
+into a strided box of another, and ``add_outer`` adds the outer product of
+two lists. Each runs one ``map`` along the longest axis of its box for each
+point of the others. ``t_list``, ``diamond._diamond_dense`` and
+``value_on_x._tree_on`` make every strided move through them and choose no
+run axis themselves, so a change of how the lists are stored (packing them
+as ``array('q')``, say) rewrites these two kernels and no loop elsewhere.
+
 The memos of ``diamond`` and ``rtm`` hold millions of terms but only 2^n
 words of length n, so each word they store is the one interned ``str`` for
 it, not a private copy. Their keys are built through word tables
@@ -31,8 +40,8 @@ from __future__ import annotations
 
 import sys
 from functools import cache
-from itertools import product
-from operator import add, sub
+from itertools import product, repeat
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .lincomb import (
@@ -175,6 +184,39 @@ def r_list(c: list[Scalar]) -> list[Scalar]:
     return out
 
 
+def add_difference(out: list, src: list, o: int, p: int, q: int, axes: list) -> None:
+    """out[o + Σ k·a] += src[p + Σ k·b] - src[q + Σ k·b] over the box of
+    the axes (n, a, b), 0 <= k < n, with strides a, b >= 1 and ``out`` not
+    ``src``: one ``map`` along the longest axis for each point of the
+    others (axes of one point add none)."""
+    axes = sorted(axes)
+    n, a, b = axes.pop()
+    starts = [(o, p, q)]
+    for m, sa, sb in axes:
+        if m > 1:
+            starts = [(i + k * sa, j + k * sb, l + k * sb) for i, j, l in starts for k in range(m)]
+    na, nb = n * a, n * b
+    for i, j, l in starts:
+        out[i:i + na:a] = map(add, out[i:i + na:a], map(sub, src[j:j + nb:b], src[l:l + nb:b]))
+
+
+def add_outer(out: list, d: list, h: list, ns: int, su: int, sh: int, off: int) -> None:
+    """out[off + u su + k sh + r] += d[u ns + r] h[k] for r < ns: one ``map``
+    along the longest of the runs u, k and r for each point of the other two."""
+    nu, nh = len(d) // ns, len(h)
+    if nh >= nu and nh >= ns:
+        n, runs = nh, ((off + i // ns * su + i % ns, sh, h, e) for i, e in enumerate(d) if e)
+    elif ns >= nu:
+        n, runs = ns, ((off + u * su + k * sh, 1, d[u * ns:(u + 1) * ns], c)
+                       for k, c in enumerate(h) if c for u in range(nu))
+    else:
+        n, runs = nu, ((off + k * sh + r, su, d[r::ns], c)
+                       for k, c in enumerate(h) if c for r in range(ns))
+    for o, step, v, c in runs:
+        r = slice(o, o + n * step, step)
+        out[r] = map(add, out[r], map(mul, v, repeat(c)))
+
+
 def t_list(c: list[Scalar]) -> list[Scalar]:
     """T = · ◇ y on the coefficient list of a value in V_n, n >= 1.
 
@@ -194,21 +236,14 @@ def t_list(c: list[Scalar]) -> list[Scalar]:
     Position i < n - 1, with s = n - 2 - i letters after it, splits u into
     p·a_i·r; its term p·xy·r, sign -1 where a_i (bit s) is set, has index
     ((u >> (s+1)) << (s+2)) | (1 << s) | (u & ((1 << s) - 1)), so out[p·01·r]
-    gains c[p·0·r] - c[p·1·r]: 2^i blocks of 2^s or 2^s strides of 2^i;
-    each position takes the fewer, at most 2^((n-2)/2) ``map`` calls."""
+    gains c[p·0·r] - c[p·1·r]: a box of 2^i blocks p by 2^s runs r, which
+    ``add_difference`` walks in at most 2^((n-2)/2) ``map`` runs."""
     n = len(c).bit_length()
     out = [0] * len(c) + c
     out[0::2] = map(sub, out[0::2], c)
     for s in range(n - 1):
-        lo, step = 1 << s, 2 << s
-        if n - 2 - s <= s:
-            for a in range(0, len(c), step):
-                o = 2 * a + lo
-                out[o:o + lo] = map(add, out[o:o + lo], map(sub, c[a:a + lo], c[a + lo:a + step]))
-        else:
-            for r in range(lo):
-                o = slice(lo + r, None, 2 * step)
-                out[o] = map(add, out[o], map(sub, c[r::step], c[lo + r::step]))
+        lo = 1 << s
+        add_difference(out, c, lo, 0, lo, [(len(c) >> (s + 1), 4 << s, 2 << s), (lo, 1, 1)])
     return out
 
 

@@ -1,10 +1,11 @@
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import all_words, clear_caches, follows_coefficient_rule
 
@@ -15,6 +16,8 @@ from treealg.words import (
     Y,
     _R_XY,
     _R_YY,
+    add_difference,
+    add_outer,
     coefficient_list,
     poly_from_list,
     r_list,
@@ -233,6 +236,84 @@ class TestLists:
         for v, n in (("x", 1), ("yx", 2), ("xy", 3), ("1", 1)):
             with pytest.raises(KeyError):
                 coefficient_list(parse_poly(v), n)
+
+
+def _kernel_list(draw, size):
+    """A list of ``size`` to ``size + 3`` coefficients in -3..3, zeros included."""
+    rng = draw(st.randoms(use_true_random=False))
+    return [rng.randint(-3, 3) for _ in range(size + draw(st.integers(0, 3)))]
+
+
+@st.composite
+def difference_boxes(draw):
+    """(out, src, o, p, q, axes) for ``add_difference``: 1-3 axes (n, a, b)
+    of up to 8 points, all of one length half of the time, strides 1-8."""
+    k = draw(st.integers(1, 3))
+    lengths = st.just(draw(st.integers(1, 8))) if draw(st.booleans()) else st.integers(1, 8)
+    axes = [(draw(lengths), draw(st.integers(1, 8)), draw(st.integers(1, 8))) for _ in range(k)]
+    o, p, q = (draw(st.integers(0, 8)) for _ in range(3))
+    out = _kernel_list(draw, o + sum((n - 1) * a for n, a, _ in axes) + 1)
+    src = _kernel_list(draw, max(p, q) + sum((n - 1) * b for n, _, b in axes) + 1)
+    return out, src, o, p, q, axes
+
+
+@st.composite
+def outer_boxes(draw):
+    """(out, d, h, ns, su, sh, off) for ``add_outer``: nu·ns entries of d,
+    nh of h, each up to 8, strides su, sh of 1-8, zeros in both factors."""
+    nu, nh, ns = (draw(st.integers(1, 8)) for _ in range(3))
+    su, sh, off = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    d = draw(st.lists(st.integers(-3, 3), min_size=nu * ns, max_size=nu * ns))
+    h = draw(st.lists(st.integers(-3, 3), min_size=nh, max_size=nh))
+    out = _kernel_list(draw, off + (nu - 1) * su + (nh - 1) * sh + ns)
+    return out, d, h, ns, su, sh, off
+
+
+class TestKernels:
+    """The two strided kernels against a per-index loop over their box."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(difference_boxes())
+    @example(([0] * 64, list(range(64)), 1, 0, 1, [(4, 16, 8), (4, 1, 1)]))  # t_list, n = 6
+    @example(([0] * 73, list(range(73)), 0, 0, 0, [(4, 1, 1), (4, 4, 2), (4, 16, 16)]))  # equal
+    @example(([5], [1, 2], 0, 1, 0, [(1, 1, 1), (1, 2, 3), (1, 4, 5)]))  # one point
+    def test_add_difference(self, box):
+        out, src, o, p, q, axes = box
+        want, before = list(out), list(src)
+        for ks in itertools.product(*(range(n) for n, _, _ in axes)):
+            oa = sum(k * a for k, (_, a, _) in zip(ks, axes))
+            ob = sum(k * b for k, (_, _, b) in zip(ks, axes))
+            want[o + oa] += src[p + ob] - src[q + ob]
+        calls = []
+
+        def counting_map(*args):
+            calls.append(None)
+            return map(*args)
+
+        words_module.map = counting_map
+        try:
+            add_difference(out, src, o, p, q, axes)
+        finally:
+            del words_module.map
+        assert out == want and src == before
+        # one run, of two map calls, for each point of the shorter axes
+        lengths = [n for n, _, _ in axes]
+        assert len(calls) == 2 * math.prod(lengths) // max(lengths)
+
+    @settings(max_examples=200, deadline=None)
+    @given(outer_boxes())
+    @example(([7], [2], [3], 1, 1, 1, 0))  # one point
+    @example(([0] * 13, [0, 2, 0, -1], [3, 0, 0], 2, 6, 2, 1))  # zeros in d and h
+    @example(([0] * 12, [0, 0], [0, 0, 0], 1, 4, 1, 0))  # all zero
+    def test_add_outer(self, box):
+        out, d, h, ns, su, sh, off = box
+        want, before = list(out), (list(d), list(h))
+        for u in range(len(d) // ns):
+            for k in range(len(h)):
+                for r in range(ns):
+                    want[off + u * su + k * sh + r] += d[u * ns + r] * h[k]
+        add_outer(out, d, h, ns, su, sh, off)
+        assert out == want and (d, h) == before
 
 
 class TestDegrees:

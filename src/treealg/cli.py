@@ -197,12 +197,13 @@ MAX_COUNT_DEGREE = 2000
 # --check-mod2 it packs their parities into 2^(d-1) bit rows and takes one
 # GF(2) rank. At the caps, trees 16 takes 4.2-5.5 s and 213 MB, forests 15
 # 3.1-3.7 s and 144 MB, basis 19 7.1 s and 216 MB, basis 11 --check-mod2
-# 0.64-0.66 s and 45 MB, and basis 11 --matrix 0.79-0.82 s and 53 MB
+# 0.40-0.55 s and 45 MB, and basis 11 --matrix 0.79-0.82 s and 53 MB
 # (142-143 MB with --json); one degree more takes 14 s and 510 MB (trees
-# 17), 8.7 s and 356 MB (forests 16), 14 s and 416 MB (basis 20), 2.2 s and
-# 146 MB (basis 12 --check-mod2) and 2.4-2.7 s and 177 MB (530 MB with
-# --json; basis 12 --matrix) on the same host (two or three runs each,
-# fresh child, address space limited to 3 GB).
+# 17), 8.7 s and 356 MB (forests 16), 14 s and 416 MB (basis 20), 1.35-1.43 s
+# and 146 MB (basis 12 --check-mod2, of which the rank is 7 ms: the sigma
+# lists hold the memory) and 2.4-2.7 s and 177 MB (530 MB with --json; basis
+# 12 --matrix) on the same host (two or three runs each, fresh child,
+# address space limited to 3 GB).
 MAX_TREE_DEGREE = 16
 MAX_FOREST_DEGREE = 15
 MAX_BASIS_DEGREE = 19

@@ -40,9 +40,11 @@ class HElem(LinComb):
 
     __slots__ = ()
     _degree = attrgetter("degree")
+    _key_kind, _is_key = "Forest", staticmethod(lambda f: type(f) is Forest)
 
     @classmethod
     def from_forest(cls, f: Forest, coeff: Scalar = 1) -> "HElem":
+        """coeff * f; raises ValueError if f is not a Forest."""
         return cls({f: coeff})
 
     @classmethod

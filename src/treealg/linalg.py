@@ -9,7 +9,12 @@ minor is odd, hence nonzero, so it is the rank over Q. Otherwise ``rank``,
 like ``nullspace``, reads its result off one echelon form, found by
 fraction-free elimination over the integers (Bareiss); the kernel comes
 out exact, in ``Fraction`` entries. ``BitMatrix`` packs rows into Python
-ints for elimination over GF(2). On top of these sit the basis family
+ints, bit c for column c, and takes their rank over GF(2) by a leading-bit
+XOR basis: one basis row per highest set bit; a row is XORed with the
+basis row of its top bit until that bit is free, where it joins the
+basis, or it is 0, and so dependent. That is at most rank XORs a row and
+no column sweep. A row with a bit at or above ``cols``, which a sweep of
+the columns would never see, is refused. On top of these sit the basis family
 (grown from the empty forest by grafting and by multiplying with the
 leaf), the change-of-basis matrix to the y-ending word basis, and
 per-degree kernel computation. ``check_mod2_invertible`` builds no
@@ -193,28 +198,33 @@ class RationalMatrix:
 
 
 class BitMatrix:
-    """A matrix over GF(2) with bit-packed rows."""
+    """A matrix over GF(2) with bit-packed rows: bit c of a row is entry c.
+    Raises ValueError for a negative row or a set bit at or above ``cols``."""
 
     def __init__(self, rows: list[int], cols: int):
         self.row_bits = list(rows)
         self.cols = cols
+        if cols < 0 or self.row_bits and (min(self.row_bits) < 0 or max(self.row_bits) >> cols):
+            raise ValueError(f"rows must lie in [0, 2^cols) and cols be >= 0; cols = {cols}")
 
     @property
     def rows(self) -> int:
         return len(self.row_bits)
 
     def rank(self) -> int:
-        rows = [r for r in self.row_bits if r]
-        rank = 0
-        for c in range(self.cols):
-            mask = 1 << c
-            pivot = next((i for i, r in enumerate(rows) if r & mask), None)
-            if pivot is None:
-                continue
-            pivot_row = rows.pop(pivot)
-            rows = [r ^ pivot_row if r & mask else r for r in rows]
-            rank += 1
-        return rank
+        """The size of a leading-bit XOR basis: each row is reduced by the
+        basis row of its highest set bit until that bit is free, where it
+        joins the basis, or the row is 0, and so dependent. basis[k] is the
+        row whose highest bit is bit k - 1, 0 while there is none."""
+        basis = [0] * (self.cols + 1)
+        for r in self.row_bits:
+            while r:
+                b = basis[top := r.bit_length()]
+                if not b:
+                    basis[top] = r
+                    break
+                r ^= b
+        return len(basis) - basis.count(0)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.cols

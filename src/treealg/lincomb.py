@@ -15,11 +15,18 @@ The coefficient rule. A coefficient is an ``int`` when it is integral,
 and otherwise a ``Fraction`` with denominator > 1, so its type follows from
 its value and no order of summation can change it. ``normalized`` enforces
 it where a ``Fraction`` can become integral: the public ``LinComb``
-constructor (and with it scalar multiples and products), sums,
+constructor, scalar multiples, products, sums,
 ``parse_terms`` and, in ``words``, ``Poly.__mul__``, ``op_R`` and
 ``poly_from_list``. It looks at the types of a result once, and rewrites
 only a result that holds a ``Fraction``. The internal ``_wrap`` path does
 not check: the memoized maps build their values from ints alone.
+
+Keys. The public constructor checks every key it is given, zero
+coefficients' too, by the subclass's ``_is_key`` (``Poly``: a word over x
+and y; ``HElem``: a ``Forest``), and raises ValueError naming the first bad
+key. Nothing else checks keys: sums,
+scalar multiples and products combine checked keys, and parsers and maps
+build theirs, so they go through ``_wrap``.
 
 Every map on forests (sigma, the coproduct, the rooted-tree-map action) is
 defined on single keys and extended linearly by ``linear``, which sums the
@@ -213,8 +220,13 @@ class LinComb:
     """A finite linear combination of hashable keys with rational coefficients."""
 
     __slots__ = ("terms",)
+    # what the public constructor's keys are called, and whether a key is one
+    _key_kind, _is_key = "key", staticmethod(lambda k: True)
 
     def __init__(self, terms: Mapping | None = None):
+        if terms and not all(map(self._is_key, terms)):
+            bad = next(k for k in terms if not self._is_key(k))
+            raise ValueError(f"{type(self).__name__} key {bad!r} is not a {self._key_kind}")
         self.terms = normalized({k: c for k, c in terms.items() if c}) if terms else {}
 
     @classmethod
@@ -257,7 +269,8 @@ class LinComb:
         return self._wrap({k: -c for k, c in self.terms.items()})
 
     def __rmul__(self: C, scalar: Scalar) -> C:
-        return type(self)({k: scalar * c for k, c in self.terms.items()})
+        terms = {k: scalar * c for k, c in self.terms.items()} if scalar else {}
+        return self._wrap(normalized(terms))
 
     def _product(self: C, other: C, combine: Callable) -> C:
         if type(other) is not type(self):
@@ -268,7 +281,7 @@ class LinComb:
             for v, b in other.terms.items():
                 k = combine(u, v)
                 acc[k] = get(k, 0) + a * b
-        return type(self)(acc)
+        return self._wrap(normalized({k: c for k, c in acc.items() if c}))
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self.terms == other.terms

@@ -58,8 +58,8 @@ def build_fmn(m: int, n: int) -> HElem:
                 )
                 k = ladder(m - i + n - j - 1, bare)
                 acc[k] = acc.get(k, 0) + 1
-    # the pruning constructor drops the terms that cancel
-    return HElem(acc)
+    # drop the terms that cancel; the keys are forests, so none is checked
+    return HElem._wrap({f: c for f, c in acc.items() if c})
 
 
 @cache

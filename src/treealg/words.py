@@ -31,7 +31,8 @@ it, not a private copy. Their keys are built through word tables
 interned image on first lookup and return it from then on: a lookup is
 cheaper than the concatenation it replaces. The tables are caches like the
 ``functools.cache`` memos (``cache_info().currsize``, ``cache_clear()``).
-``Poly`` itself takes any ``str`` key. ``op_R`` is R on any ``Poly``, term
+The public ``Poly`` constructor takes only words over x and y as keys
+(``_wrap`` takes any). ``op_R`` is R on any ``Poly``, term
 by term: ``rtm`` grafts through it, as a long sparse word's list would be
 2^(n-1) long. T on any ``Poly`` is ``diamond(v, Y)`` by definition, and
 ``t_list``'s docstring proves its closed form.
@@ -103,12 +104,12 @@ class Poly(LinComb):
 
     __slots__ = ()
     _degree = len
+    _key_kind = "word in x and y"
+    _is_key = staticmethod(lambda w: type(w) is str and not w.strip("xy"))
 
     @classmethod
     def from_word(cls, w: str, coeff: Scalar = 1) -> "Poly":
-        """coeff * w; raises ValueError if w has a letter other than x, y."""
-        if w.strip("xy"):
-            raise ValueError(f"word {w!r} has a letter other than x and y")
+        """coeff * w; raises ValueError if w is not a word in x and y."""
         return cls({w: coeff})
 
     @classmethod
@@ -186,16 +187,20 @@ def r_list(c: list[Scalar]) -> list[Scalar]:
 
 def add_difference(out: list, src: list, o: int, p: int, q: int, axes: list) -> None:
     """out[o + Σ k·a] += src[p + Σ k·b] - src[q + Σ k·b] over the box of
-    the axes (n, a, b), 0 <= k < n, with strides a, b >= 1 and ``out`` not
-    ``src``: one ``map`` along the longest axis for each point of the
-    others (axes of one point add none)."""
+    the axes (n, a, b), 0 <= k < n, with n >= 1, strides a, b >= 1 and
+    ``out`` not ``src``: one ``map`` along the longest axis for each point
+    of the others (axes of one point add none, and a box of one run builds
+    no start list)."""
     axes = sorted(axes)
     n, a, b = axes.pop()
+    na, nb = n * a, n * b
+    if not axes or axes[-1][0] == 1:
+        out[o:o + na:a] = map(add, out[o:o + na:a], map(sub, src[p:p + nb:b], src[q:q + nb:b]))
+        return
     starts = [(o, p, q)]
     for m, sa, sb in axes:
         if m > 1:
             starts = [(i + k * sa, j + k * sb, l + k * sb) for i, j, l in starts for k in range(m)]
-    na, nb = n * a, n * b
     for i, j, l in starts:
         out[i:i + na:a] = map(add, out[i:i + na:a], map(sub, src[j:j + nb:b], src[l:l + nb:b]))
 

@@ -50,6 +50,24 @@ class TestAlgebra:
         assert helem("[[]] + [] [] [] - 1").max_degree() == 3
         assert HElem.zero().max_degree() == 0
 
+    # a tree is not a forest: its forest is bplus(...).as_forest()
+    @pytest.mark.parametrize("bad", ["junk", "[]", bplus(EMPTY_FOREST), None, 1])
+    def test_constructor_rejects_a_key_that_is_not_a_forest(self, bad):
+        makers = [
+            lambda: HElem({bad: 1}),
+            lambda: HElem({EMPTY_FOREST: 1, bad: 0}),
+            lambda: HElem.from_forest(bad),
+        ]
+        for make in makers:
+            with pytest.raises(ValueError, match="HElem key .* is not a Forest"):
+                make()
+
+    def test_print_of_a_checked_element(self):
+        # the junk key used to build, and then failed to print
+        with pytest.raises(ValueError):
+            print_helem(HElem({"junk": 1}))
+        assert print_helem(HElem({parse_forest("[]"): 1, EMPTY_FOREST: 0})) == "[]"
+
 
 class TestTextForm:
     def test_parse_print_round_trip(self):

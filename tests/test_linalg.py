@@ -214,6 +214,49 @@ class TestEliminationAgainstReference:
         assert RationalMatrix(rows).rank() == len(reference_rref(rows, 0)[1]) == 0
 
 
+def sweep_rank(row_bits, cols):
+    """The rank over GF(2) by a column sweep, the reference for
+    ``BitMatrix.rank``: for each column in turn, the first remaining row
+    with that bit set is the pivot; it is removed and added to every other
+    row with the bit set. Bits at or above ``cols`` are never looked at."""
+    rows = [r for r in row_bits if r]
+    rank = 0
+    for c in range(cols):
+        mask = 1 << c
+        pivot = next((i for i, r in enumerate(rows) if r & mask), None)
+        if pivot is None:
+            continue
+        pivot_row = rows.pop(pivot)
+        rows = [r ^ pivot_row if r & mask else r for r in rows]
+        rank += 1
+    return rank
+
+
+@st.composite
+def bit_matrices(draw, max_size=70):
+    """(rows, cols): 0 to 70 rows of width 0 to 70, wide, tall or square,
+    mixing random, sparse and zero rows with copies and sums of earlier
+    rows (so rank-deficient), in a drawn order."""
+    cols = draw(st.integers(0, max_size))
+    n = cols if draw(st.booleans()) else draw(st.integers(0, max_size))
+    kinds = st.sampled_from(["random", "sparse", "zero", "copy", "sum"])
+    rows = []
+    while len(rows) < n:
+        kind = draw(kinds) if rows else "random"
+        if kind == "random":
+            rows.append(draw(st.integers(0, (1 << cols) - 1)))
+        elif kind == "sparse":
+            bits = draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=3)) if cols else ()
+            rows.append(sum(1 << b for b in bits))
+        elif kind == "zero":
+            rows.append(0)
+        elif kind == "copy":
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            rows.append(draw(st.sampled_from(rows)) ^ draw(st.sampled_from(rows)))
+    return draw(st.permutations(rows)), cols
+
+
 class TestBitMatrix:
     def test_rank(self):
         # rows 11, 01 over GF(2)
@@ -225,6 +268,35 @@ class TestBitMatrix:
         m = BitMatrix([0b11, 0b11], 2)
         assert m.rank() == 1
         assert not m.is_invertible()
+
+    @settings(max_examples=300, deadline=None)
+    @given(bit_matrices())
+    def test_rank_against_the_column_sweep(self, matrix):
+        rows, cols = matrix
+        m = BitMatrix(rows, cols)
+        rank = sweep_rank(rows, cols)
+        assert m.rank() == rank
+        assert m.is_invertible() == (len(rows) == cols == rank)
+        assert m.row_bits == rows
+
+    @pytest.mark.parametrize(
+        "rows, cols", [([], 0), ([0, 0], 0), ([], 5), ([0, 0, 0], 5), ([0b111, 0b111], 3),
+                       ([(1 << 70) - 1, 1], 70)],
+    )
+    def test_edges_against_the_column_sweep(self, rows, cols):
+        m = BitMatrix(rows, cols)
+        assert m.rank() == sweep_rank(rows, cols)
+        assert m.is_invertible() == (len(rows) == cols == m.rank())
+
+    # the sweep never looked at a bit at or above cols, which the XOR basis
+    # would count, so the constructor refuses such a row, and a negative one
+    @pytest.mark.parametrize(
+        "rows, cols", [([-1], 3), ([0b1000], 3), ([1], 0), ([0, 1 << 70], 70), ([0, -4], 70),
+                       ([], -1)],
+    )
+    def test_rejects_a_row_outside_its_columns(self, rows, cols):
+        with pytest.raises(ValueError):
+            BitMatrix(rows, cols)
 
 
 class TestBasisFamily:
@@ -309,6 +381,14 @@ class TestMod2Certificate:
             assert linalg._parities(rows, 2 ** (d - 1)).row_bits == bits
             assert dense.row_bits == bits
             assert check_mod2_invertible(d) == dense.is_invertible()
+
+    def test_equals_the_column_sweep_up_to_eleven(self):
+        for d in range(1, 12):
+            cols = 2 ** (d - 1)
+            bits = linalg._parities([linalg._sigma_list(u) for u in basis_forests(d)], cols).row_bits
+            full = sweep_rank(bits, cols) == cols
+            assert check_mod2_invertible(d) == full
+            assert full
 
     def test_fill_no_poly_memo(self):
         # both read the sigma lists, never sigma_forest

@@ -379,6 +379,16 @@ class TestTextForm:
         assert Poly.from_word("").terms == {"": 1}
         assert Poly.from_word("xyx", -2).terms == {"xyx": -2}
 
+    @pytest.mark.parametrize("bad", ["xz", "1", " x", b"xy", 3, None, ("x",)])
+    def test_constructor_rejects_a_key_that_is_not_a_word(self, bad):
+        # every key is checked, a zero coefficient's too
+        for terms in ({bad: 1}, {"xy": 1, bad: 0}):
+            with pytest.raises(ValueError, match="is not a word in x and y"):
+                Poly(terms)
+
+    def test_constructor_accepts_words_over_x_y(self):
+        assert Poly({"": 1, "xy": 0, "yx": Fraction(4, 2)}).terms == {"": 1, "yx": 2}
+
 
 class TestWordTables:
     def test_tables_are_concatenation(self):

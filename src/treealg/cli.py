@@ -149,10 +149,14 @@ def _listing(args) -> int:
 # memory".
 MAX_OUTPUT_DEGREE = 16
 
-# The largest degree that kernel accepts: it eliminates the matrix of sigma
-# values of all degree-d forests against the 2^(d-1) words ending in y. At
-# the cap, kernel 9 takes 23 s and 73 MB; at d = 10 it had not finished
-# after 200 s (2-core x86-64 host, Python 3.11).
+# The largest degree that kernel accepts: it takes the kernel of the matrix
+# of sigma values of all degree-d forests against the 2^(d-1) words ending
+# in y. Up to d = 7 the kernel is lifted 2-adically over the GF(2) pivots;
+# at d = 8 and 9 those differ from the pivots over Q, and Bareiss
+# elimination gives it. In three fresh processes each, kernel 7 took
+# 0.08-0.09 s and 16 MB, kernel 8 0.66-0.79 s and 20 MB, and kernel 9, at
+# the cap, 12.9-13.6 s and 49 MB; at d = 10 it had not finished after 200 s
+# (2-core x86-64 host, Python 3.11).
 MAX_DENSE_DEGREE = 9
 
 # The largest degree that decompose accepts. It takes sigma of its input,

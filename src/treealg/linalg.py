@@ -5,10 +5,24 @@ as given: an ``int`` stays an ``int``, anything else becomes a
 ``Fraction``. Its rows are scaled to integers by the lcm of their
 denominators. ``rank`` first takes the rank of their parities over GF(2):
 that is never above the rank over Q, and when it is full some maximal
-minor is odd, hence nonzero, so it is the rank over Q. Otherwise ``rank``,
-like ``nullspace``, reads its result off one echelon form, found by
-fraction-free elimination over the integers (Bareiss); the kernel comes
-out exact, in ``Fraction`` entries. ``BitMatrix`` packs rows into Python
+minor is odd, hence nonzero, so it is the rank over Q. Otherwise ``rank``
+counts the pivots of one echelon form, found by fraction-free elimination
+over the integers (Bareiss). ``nullspace`` goes through GF(2) first too:
+the leading-bit XOR basis of the columns' parities, taken in column order,
+gives the GF(2)-greedy pivot set P and, by tracking the pivot columns that
+each basis row sums, a solver of A_P y = r mod 2. Each free column j is
+lifted 2-adically, A_P x = A_j, by the lifter of the K_d solve below. The
+result is the reduced-echelon kernel when every lift stops with an exact
+zero residual within the Hadamard bound, so that x is integral, and no
+digit of x falls on a pivot after j. For then the columns of P,
+independent mod 2, are independent over Q, and each free column lies in
+the span of the pivots before it: P is the greedy pivot set over Q, and
+e_j - Σ x_p e_p is the kernel vector of j. (An integral x has |x_p| at
+most a numerator of Cramer's rule on an odd, hence nonzero, maximal minor
+of A_P, below ∏ |A_p| · |A_j|.) Otherwise, for an all-even matrix, a
+rational solution or a pivot set that differs over Q, the kernel is
+back-substituted from the Bareiss echelon. Either way it comes out exact,
+in ``Fraction`` entries. ``BitMatrix`` packs rows into Python
 ints, bit c for column c, and takes their rank over GF(2) by a leading-bit
 XOR basis: one basis row per highest set bit; a row is XORed with the
 basis row of its top bit until that bit is free, where it joins the
@@ -48,12 +62,13 @@ words of length d that end in y; R (``op_R``) and T = · ◇ y
   odd. ``_k_system`` checks this for every degree it builds and raises
   ArithmeticError otherwise.
 
-Each K_d system is solved exactly by 2-adic (Dixon) lifting. Start from
-x = 0 and r = b. At step k, y solves K_dᵀ y = r mod 2, by substitution in
-the trailing-y order. Since b - K_dᵀ(x - 2^k y) = 2^k (r + K_dᵀ y), the
-symmetric residue x - 2^k y is the exact solution once r + K_dᵀ y = 0;
-otherwise x += 2^k y and r = (r - K_dᵀ y)/2. Small integer solutions, the
-usual case, stop within a few steps. If none is found within the Hadamard
+Each K_d system is solved exactly by 2-adic (Dixon) lifting, in
+``lifting.lift``, which ``nullspace`` shares. Start from x = 0 and r = b.
+At step k, y solves K_dᵀ y = r mod 2, by substitution in the trailing-y
+order. Since b - K_dᵀ(x - 2^k y) = 2^k (r + K_dᵀ y), the symmetric
+residue x - 2^k y is the exact solution once r + K_dᵀ y = 0; otherwise
+x += 2^k y and r = (r - K_dᵀ y)/2. Small integer solutions, the usual
+case, stop within a few steps. If none is found within the Hadamard
 bound, the entries are rationals with odd denominators, which rational
 reconstruction recovers and an exact product checks. Every level checks
 R(p) + T(q) = t term by term. The input runs on its int numerators
@@ -89,13 +104,17 @@ def _integer_rows(entries: list[list[Fraction | int]]) -> list[list[int]]:
     return out
 
 
+def _bits(row: list[int]) -> int:
+    """The integer row mod 2: bit c is set where entry c is odd. The row is
+    parsed as one binary numeral, last entry first (48 is b"0"), which is
+    faster than summing its bits one big int at a time; a zero-width row,
+    whose empty numeral ``int`` would refuse, reads b"0"."""
+    return int(bytes([48 + (e & 1) for e in reversed(row)]) or b"0", 2)
+
+
 def _parities(rows: list[list[int]], cols: int) -> "BitMatrix":
-    """The integer rows mod 2: bit c of a row is set where entry c is odd.
-    Each row is parsed as one binary numeral, last entry first (48 is
-    b"0"), which is faster than summing its bits one big int at a time; a
-    zero-width row, whose empty numeral ``int`` would refuse, reads b"0"."""
-    bits = (int(bytes([48 + (e & 1) for e in reversed(row)]) or b"0", 2) for row in rows)
-    return BitMatrix(list(bits), cols)
+    """The integer rows mod 2, packed by ``_bits``."""
+    return BitMatrix(list(map(_bits, rows)), cols)
 
 
 def _echelon(entries: list[list[Fraction | int]]) -> tuple[list[list[int]], list[int], int]:
@@ -178,8 +197,16 @@ class RationalMatrix:
 
     def nullspace(self) -> list[list[Fraction]]:
         """Basis of the right kernel, one vector per free column, in
-        ascending free-column order; free entries normalized to 1."""
-        m, pivots, d = _echelon(self.entries)
+        ascending free-column order; free entries normalized to 1. Lifted
+        over the GF(2) pivots where that is certified, else back-substituted
+        from the Bareiss echelon (module docstring); the two agree."""
+        from .lifting import lifted_kernel
+
+        rows = _integer_rows(self.entries)
+        basis = lifted_kernel(rows, self.cols)
+        if basis is not None:
+            return basis
+        m, pivots, d = _echelon(rows)
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
         for fc in free:
@@ -336,14 +363,17 @@ def _reconstruct(a: int, m: int, bound: int) -> Fraction:
 
 def _solve_k(d: int, b: list[int]) -> tuple[list[int], int]:
     """(x, D) with K_dᵀ (x/D) = b exactly, by 2-adic lifting."""
+    from .lifting import lift
+
     k_rows, odd, order, hbits = _k_system(d)
     n = len(b)
-    x, r = [0] * n, b
     # |det K_d| < 2^dbits, and each numerator of Cramer's rule is below
     # 2^dbits |b| < 2^nbits, where |b| <= sqrt(n) max|b_u|
     dbits = (hbits + 1) // 2
     nbits = dbits + (n.bit_length() + 1) // 2 + max(map(abs, b)).bit_length()
-    for k in range(nbits + dbits + 2):
+    steps = nbits + dbits + 2
+
+    def solve2(r: list[int]) -> list[int]:
         # y = (K_dᵀ)⁻¹ r mod 2, by substitution in the trailing-y order
         y, ys = [c & 1 for c in r], []
         for v in order:
@@ -351,20 +381,17 @@ def _solve_k(d: int, b: list[int]) -> tuple[list[int], int]:
                 ys.append(v)
                 for u in odd[v]:
                     y[u] ^= 1
-        ky = [0] * n
-        for v in ys:
-            for u, e in k_rows[v]:
-                ky[u] += e
-        # b - K_dᵀ(x - 2^k y) = 2^k (r + K_dᵀ y): the symmetric residue
-        done = not any(map(add, r, ky))
-        for v in ys:
-            x[v] += -1 << k if done else 1 << k
-        if done:
-            return x, 1
-        r = [(a - c) >> 1 for a, c in zip(r, ky)]
+        return ys
+
+    def times(ys: list[int]) -> list[int]:
+        return _combine([k_rows[v] for v in ys], [1] * len(ys), n)
+
+    x, done = lift(b, n, solve2, times, steps)
+    if done:
+        return x, 1
     # no integral solution within the bound: the entries are rationals
     # with odd denominators below 2^dbits
-    sol = [_reconstruct(c, 2 << k, 1 << nbits) for c in x]
+    sol = [_reconstruct(c, 1 << steps, 1 << nbits) for c in x]
     den = lcm(*(c.denominator for c in sol))
     x = [c.numerator * (den // c.denominator) for c in sol]
     if _combine(k_rows, x, n) != [den * c for c in b]:

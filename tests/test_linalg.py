@@ -2,11 +2,13 @@ import itertools
 import random
 from fractions import Fraction
 from functools import cache
+from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treealg import linalg
+from treealg import lifting, linalg
 from treealg import (
     BitMatrix,
     HElem,
@@ -212,6 +214,109 @@ class TestEliminationAgainstReference:
     @pytest.mark.parametrize("rows", [[], [[], []]])
     def test_rank_of_an_empty_matrix(self, rows):
         assert RationalMatrix(rows).rank() == len(reference_rref(rows, 0)[1]) == 0
+
+
+@cache
+def sigma_matrix(d):
+    """The matrix whose kernel ``sigma_kernel(d)`` takes: sigma of each
+    degree-d forest in a column, over the words ending in y."""
+    columns = [linalg._sigma_list(f) for f in enumerate_forests(d)]
+    return RationalMatrix([list(row) for row in zip(*columns)])
+
+
+def lifted(m):
+    """m's kernel by the GF(2) pivots and 2-adic lifting, or None where that
+    route falls back."""
+    return lifting.lifted_kernel(linalg._integer_rows(m.entries), m.cols)
+
+
+def bareiss_only():
+    """A context in which nullspace() takes the Bareiss path alone."""
+    return mock.patch.object(lifting, "lifted_kernel", lambda rows, cols: None)
+
+
+def bareiss_nullspace(m):
+    """m.nullspace() by the Bareiss path alone."""
+    with bareiss_only():
+        return m.nullspace()
+
+
+def lifted_nullspace(m):
+    """m.nullspace() with Bareiss elimination made to fail, so that only
+    the lifted path can answer."""
+    with mock.patch.object(linalg, "_echelon", side_effect=AssertionError("fell back")):
+        return m.nullspace()
+
+
+@st.composite
+def liftable_matrices(draw):
+    """V R: R an integral reduced echelon form of 0-6 rows and 1-10 columns,
+    V an integer matrix whose top block U is unit lower triangular mod 2
+    (odd det), and whose other rows are combinations of U's, in a drawn row
+    order. The GF(2) pivots of V R are those of R, and its kernel is R's,
+    integral: the lifted path applies."""
+    cols = draw(st.integers(1, 10))
+    pivots = sorted(draw(st.sets(st.integers(0, cols - 1), max_size=6)))
+    reduced = []
+    for p in pivots:
+        row = [0] * cols
+        row[p] = 1
+        for j in range(p + 1, cols):
+            if j not in pivots:
+                row[j] = draw(small_ints)
+        reduced.append(row)
+    r = len(pivots)
+    odd = st.sampled_from([-3, -1, 1, 3])
+    u = [
+        [draw(odd) if k == i else draw(small_ints) if k < i else 2 * draw(small_ints)
+         for k in range(r)]
+        for i in range(r)
+    ]
+    extra = [
+        [sum(c * x for c, x in zip(coeffs, column)) for column in zip(*u)] if r else []
+        for coeffs in draw(st.lists(st.lists(small_ints, min_size=r, max_size=r), max_size=3))
+    ]
+    rows = [[sum(a * b for a, b in zip(v, column)) for column in zip(*reduced)]
+            for v in u + extra] if r else [[0] * cols for _ in extra]
+    return RationalMatrix(draw(st.permutations(rows or [[0] * cols])))
+
+
+class TestLiftedNullspace:
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_sigma_matrices_take_the_lifted_path(self, d):
+        m = sigma_matrix(d)
+        basis = lifted_nullspace(m)
+        assert basis == bareiss_nullspace(m)
+        assert all(type(e) is Fraction for v in basis for e in v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(liftable_matrices())
+    def test_liftable_matrices_against_bareiss(self, m):
+        basis = lifted_nullspace(m)
+        assert basis == bareiss_nullspace(m)
+        check_nullspace(m)
+
+    # [[2, 1]], [[1, 1, 1], [1, -1, 0]] and [[1/2, 1, 1/4]] (scaled to
+    # [2, 4, 1]): the integral x of a free column uses a GF(2) pivot after
+    # it, as the pivots over Q differ; [[3, 1]]: the kernel is (-1/3, 1),
+    # and 1/3 has no finite 2-adic digits; the other two: the GF(2) rank is
+    # below the rank over Q, so some residual is not in the span mod 2
+    @pytest.mark.parametrize(
+        "rows",
+        [[[2, 1]], [[3, 1]], [[1, 3, 0, 2], [1, 1, 2, 0]], [[2, 4, 6], [4, 2, 0]],
+         [[1, 1, 1], [1, -1, 0]], [[Fraction(1, 2), 1, Fraction(1, 4)]]],
+    )
+    def test_falls_back(self, rows):
+        m = RationalMatrix(rows)
+        assert lifted(m) is None
+        check_nullspace(m)
+
+    @given(matrices(entries=small_ints).map(doubled))
+    def test_doubled_matrices_fall_back(self, m):
+        # all-even columns have no GF(2) pivot, so a nonzero one stops the lift
+        if m.rank():
+            assert lifted(m) is None
+        check_nullspace(m)
 
 
 def sweep_rank(row_bits, cols):
@@ -586,6 +691,47 @@ class TestKernel:
         for d in range(1, 7):
             for k in sigma_kernel(d):
                 assert rtm_apply(k, X).is_zero()
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_equals_the_bareiss_path(self, d):
+        with bareiss_only():
+            expected = [list(k.terms.items()) for k in sigma_kernel(d)]
+        assert [list(k.terms.items()) for k in sigma_kernel(d)] == expected
+
+    def test_degree_eight_falls_back_to_bareiss(self, monkeypatch):
+        # Bareiss takes about 1 s at d = 8 and the reference RREF 15 s, so
+        # sigma_kernel(8) runs once and its vectors are checked against what
+        # makes a kernel the reduced-echelon one: ascending free columns,
+        # free entry 1, zero at the other free columns and after its own,
+        # sigma zero, one vector per free column of a rank-128 matrix
+        calls = []
+        nullspace = RationalMatrix.nullspace
+        monkeypatch.setattr(
+            RationalMatrix, "nullspace", lambda m: calls.append(nullspace(m)) or calls[-1]
+        )
+        kernel = sigma_kernel(8)
+        m = sigma_matrix(8)
+        assert lifted(m) is None
+        (basis,) = calls
+        assert len(basis) == m.cols - m.rank() == m.cols - 128
+        free = [max(c for c in range(m.cols) if v[c]) for v in basis]
+        assert free == sorted(set(free))
+        columns = list(zip(*m.entries))
+        for fc, v in zip(free, basis):
+            assert v[fc] == 1 and all(v[c] == 0 for c in free if c != fc)
+            assert all(type(e) is Fraction for e in v)
+            den = lcm(*(e.denominator for e in v))
+            image = [0] * m.rows
+            for c in range(fc + 1):
+                if v[c]:
+                    x = v[c].numerator * (den // v[c].denominator)
+                    image = [a + x * b for a, b in zip(image, columns[c])]
+            assert not any(image)
+        forests = enumerate_forests(8)
+        assert [list(k.terms.items()) for k in kernel] == [
+            [(f, int(c) if c.denominator == 1 else c) for f, c in zip(forests, v) if c]
+            for v in basis
+        ]
 
     def test_deterministic(self):
         first = [k.terms for k in sigma_kernel(5)]

@@ -18,7 +18,9 @@ it where a ``Fraction`` can become integral: the public ``LinComb``
 constructor, scalar multiples, products, sums,
 ``parse_terms`` and, in ``words``, ``Poly.__mul__``, ``op_R`` and
 ``poly_from_list``. It looks at the types of a result once, and rewrites
-only a result that holds a ``Fraction``. The internal ``_wrap`` path does
+only a result that holds a ``Fraction``; ``Poly.__mul__`` looks at its two
+factors instead, as a product of factors that hold only ints holds only
+ints. The internal ``_wrap`` path does
 not check: the memoized maps build their values from ints alone.
 
 Keys. The public constructor checks every key it is given, zero
@@ -42,7 +44,9 @@ product, the one bilinear map, rewrites each factor the same way.
 Values that are coefficient lists over one V_n (the dense routes of
 ``words``) are summed by ``sum_lists``, one list per key: the lists of one
 key and one coefficient are summed column by column and scaled once, as
-a relation's coefficients are few and repeat. σ of a combination, the
+a relation's coefficients are few and repeat. A group of one list is read
+as it is, with no column sum, and a coefficient of 1 scales nothing; every
+returned list is still a new one. σ of a combination, the
 values on x and the coproduct groups of ``value_on_x``, the right-hand
 side of the word route and the target of ``decompose`` all sum that way,
 each on int coefficients.
@@ -130,15 +134,18 @@ def linear(terms: Mapping, value: Callable[[Hashable], Mapping]) -> dict:
 def sum_lists(terms: Iterable[tuple[Hashable, list, Scalar]]) -> dict:
     """The sum of c * v over the triples (key, v, c), one list per key: the
     lists v of one key have one length. The lists of one key and one c are
-    summed column by column, then scaled once by c. Exact for any
-    coefficients; the library passes int ones (see ``numerators``). The
-    lists v are only read, never mutated."""
+    summed column by column, then scaled once by c; a group of one list is
+    read as it is, and c = 1 scales nothing. Exact for any coefficients;
+    the library passes int ones (see ``numerators``). The lists v are only
+    read, never mutated, and every returned list is a new one."""
     parts: dict = {}
     for key, v, c in terms:
         parts.setdefault((key, c), []).append(v)
     sums: dict = {}
     for (key, c), values in parts.items():
-        col = map(mul, map(sum, zip(*values)), repeat(c))
+        col = values[0] if len(values) == 1 else map(sum, zip(*values))
+        if c != 1:
+            col = map(mul, col, repeat(c))
         sums[key] = list(map(add, sums[key], col) if key in sums else col)
     return sums
 

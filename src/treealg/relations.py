@@ -8,6 +8,13 @@
             chain^(m-i+n-j-1)( leaf * ladder(i) * ladder(j) )
 
 where chain^k wraps a forest in k successive graftings, ``ladder(k, f)``.
+The two forests that the (i, j) terms wrap, leaf * bplus(ladder(i)
+ladder(j)) and leaf * ladder(i) * ladder(j), depend only on (i, j): they
+are built once, from the product ladder(i) ladder(j), and cached with
+``functools.cache`` on ``_pair_forests``, beside ``_pieces`` below. Every
+(m, n) of a sweep shares them, and each (i, j) term costs two cached
+``ladder`` lookups and two dict updates.
+
 Both the polynomial image and the value on x of the result vanish, and the
 same statement can be checked purely inside the word algebra via
 ``verify_r_identity``: with L_k = R^(k-1)(y) the value of ladder(k), the
@@ -47,19 +54,23 @@ def build_fmn(m: int, n: int) -> HElem:
     acc: dict[Forest, Scalar] = {forest_product(ladder(m), ladder(n)): 1}
     for i in range(m):
         for j in range(n):
-            inner = forest_product(
-                LEAF.as_forest(), bplus(forest_product(ladder(i), ladder(j))).as_forest()
-            )
-            k = ladder(m - i + n - j - 2, inner)
+            grafted, bare = _pair_forests(i, j)
+            k = ladder(m - i + n - j - 2, grafted)
             acc[k] = acc.get(k, 0) - 1
             if (i, j) != (0, 0):
-                bare = forest_product(
-                    LEAF.as_forest(), forest_product(ladder(i), ladder(j))
-                )
                 k = ladder(m - i + n - j - 1, bare)
                 acc[k] = acc.get(k, 0) + 1
     # drop the terms that cancel; the keys are forests, so none is checked
     return HElem._wrap({f: c for f, c in acc.items() if c})
+
+
+@cache
+def _pair_forests(i: int, j: int) -> tuple[Forest, Forest]:
+    """(leaf * bplus(ladder(i) ladder(j)), leaf * ladder(i) * ladder(j)):
+    the forests that the (i, j) terms of every f_{m,n} wrap in ladders."""
+    pair = forest_product(ladder(i), ladder(j))
+    leaf = LEAF.as_forest()
+    return forest_product(leaf, bplus(pair).as_forest()), forest_product(leaf, pair)
 
 
 @cache

@@ -577,6 +577,12 @@ class TestSumLists:
     @example([(2, SHARED, 1), (2, SHARED, 1), (2, SHARED, -2)])
     @example([(1, [1, 2], Fraction(1, 2)), (1, [-1, 0], Fraction(1, 2)), (1, [0, 1], -1)])
     @example([(0, [1], 2), (0, [1], Fraction(2)), (0, [1], -4)])
+    # one-list groups, read without a column sum: c = 1 alone, c = -1 alone,
+    # c = 1 and c = -1 on one key, and c = 2 beside a two-list group
+    @example([(2, SHARED, 1)])
+    @example([(1, [3, -1], -1)])
+    @example([(2, SHARED, 1), (2, [0, 2, 1, -3], -1)])
+    @example([(2, SHARED, 2), (2, [0, 2, 1, -3], -1), (2, SHARED, -1), (0, [5], 1)])
     def test_against_fold(self, triples):
         before = [list(v) for _, v, _ in triples]
         expected = {}

@@ -4,7 +4,11 @@ import sys
 import pytest
 
 from treealg import (
+    LEAF,
+    Forest,
     HElem,
+    Tree,
+    bplus,
     build_fmn,
     diamond,
     forest_product,
@@ -117,6 +121,70 @@ class TestVerification:
         base = RationalMatrix([vec(k) for k in kernel])
         extended = RationalMatrix([vec(k) for k in kernel] + [vec(build_fmn(2, 3))])
         assert extended.rank() == base.rank()
+
+
+# --- build_fmn against the per-term construction -----------------------------
+
+
+def ref_build_fmn(m, n):
+    """f_{m,n} as the definition reads: every (i, j) term builds its forests
+    afresh from ``forest_product`` and ``bplus``."""
+    leaf = LEAF.as_forest()
+    acc = {forest_product(ladder(m), ladder(n)): 1}
+    for i in range(m):
+        for j in range(n):
+            pair = forest_product(ladder(i), ladder(j))
+            grafted = forest_product(leaf, bplus(pair).as_forest())
+            add_into(acc, {ladder(m - i + n - j - 2, grafted): -1})
+            if (i, j) != (0, 0):
+                add_into(acc, {ladder(m - i + n - j - 1, forest_product(leaf, pair)): 1})
+    return HElem(acc)
+
+
+def all_pairs(max_total):
+    return [(m, t - m) for t in range(2, max_total + 1) for m in range(1, t)]
+
+
+class TestSharedPairForests:
+    """``build_fmn`` reads the forests of each (i, j) from ``_pair_forests``,
+    shared by every (m, n); it must equal the per-term construction."""
+
+    def test_matches_reference_cold_and_warm(self):
+        expected = {(m, n): ref_build_fmn(m, n) for m, n in all_pairs(12)}
+        clear_caches()
+        for warm in (False, True):
+            for (m, n), ref in expected.items():
+                got = build_fmn(m, n)
+                assert got == ref, (m, n, warm)
+                assert print_helem(got) == print_helem(ref), (m, n, warm)
+
+    def test_second_sweep_builds_no_forest(self, monkeypatch):
+        # after one sweep over m+n <= 8, a second one reads every (i, j)
+        # from the cache, grafts nothing (every binding of bplus counts its
+        # calls) and interns no new tree or forest
+        calls = []
+
+        def counting(f):
+            calls.append(None)
+            return bplus(f)
+
+        for name, module in list(sys.modules.items()):
+            if name == "treealg" or name.startswith("treealg."):
+                for attr, obj in list(vars(module).items()):
+                    if obj is bplus:
+                        monkeypatch.setattr(module, attr, counting)
+        clear_caches()
+        first = [build_fmn(m, n) for m, n in all_pairs(8)]
+        assert calls
+        calls.clear()
+        info = relations._pair_forests.cache_info()
+        pools = len(Forest._pool), len(Tree._pool)
+        assert [build_fmn(m, n) for m, n in all_pairs(8)] == first
+        after = relations._pair_forests.cache_info()
+        assert (after.misses, after.currsize) == (info.misses, info.currsize)
+        assert after.hits > info.hits
+        assert (len(Forest._pool), len(Tree._pool)) == pools
+        assert not calls
 
 
 # --- the word route's right-hand side, term by term --------------------------

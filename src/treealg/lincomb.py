@@ -18,9 +18,7 @@ it where a ``Fraction`` can become integral: the public ``LinComb``
 constructor, scalar multiples, products, sums,
 ``parse_terms`` and, in ``words``, ``Poly.__mul__``, ``op_R`` and
 ``poly_from_list``. It looks at the types of a result once, and rewrites
-only a result that holds a ``Fraction``; ``Poly.__mul__`` looks at its two
-factors instead, as a product of factors that hold only ints holds only
-ints. The internal ``_wrap`` path does
+only a result that holds a ``Fraction``. The internal ``_wrap`` path does
 not check: the memoized maps build their values from ints alone.
 
 Keys. The public constructor checks every key it is given, zero

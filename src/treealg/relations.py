@@ -9,11 +9,12 @@
 
 where chain^k wraps a forest in k successive graftings, ``ladder(k, f)``.
 The two forests that the (i, j) terms wrap, leaf * bplus(ladder(i)
-ladder(j)) and leaf * ladder(i) * ladder(j), depend only on (i, j): they
-are built once, from the product ladder(i) ladder(j), and cached with
-``functools.cache`` on ``_pair_forests``, beside ``_pieces`` below. Every
-(m, n) of a sweep shares them, and each (i, j) term costs two cached
-``ladder`` lookups and two dict updates.
+ladder(j)) and leaf * ladder(i) * ladder(j), depend only on the unordered
+pair {i, j}: they are built once, from the product ladder(i) ladder(j),
+and cached with ``functools.cache`` on ``_pair_forests``, called with
+(min, max) as ``_pieces`` below is. Every (m, n) of a sweep shares them,
+and each (i, j) term costs two cached ``ladder`` lookups and two dict
+updates.
 
 Both the polynomial image and the value on x of the result vanish, and the
 same statement can be checked purely inside the word algebra via
@@ -54,7 +55,7 @@ def build_fmn(m: int, n: int) -> HElem:
     acc: dict[Forest, Scalar] = {forest_product(ladder(m), ladder(n)): 1}
     for i in range(m):
         for j in range(n):
-            grafted, bare = _pair_forests(i, j)
+            grafted, bare = _pair_forests(min(i, j), max(i, j))
             k = ladder(m - i + n - j - 2, grafted)
             acc[k] = acc.get(k, 0) - 1
             if (i, j) != (0, 0):
@@ -67,7 +68,8 @@ def build_fmn(m: int, n: int) -> HElem:
 @cache
 def _pair_forests(i: int, j: int) -> tuple[Forest, Forest]:
     """(leaf * bplus(ladder(i) ladder(j)), leaf * ladder(i) * ladder(j)):
-    the forests that the (i, j) terms of every f_{m,n} wrap in ladders."""
+    the forests that the (i, j) and (j, i) terms of every f_{m,n} wrap in
+    ladders. The product of forests commutes, so it is called with i <= j."""
     pair = forest_product(ladder(i), ladder(j))
     leaf = LEAF.as_forest()
     return forest_product(leaf, bplus(pair).as_forest()), forest_product(leaf, pair)

@@ -40,7 +40,6 @@ by term: ``rtm`` grafts through it, as a long sparse word's list would be
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from functools import cache
 from itertools import product, repeat
 from operator import add, mul, sub
@@ -122,12 +121,10 @@ class Poly(LinComb):
         if type(other) is Poly and self.homogeneous_degree() is not None:
             # left words of one length: u + v determines u and v, so every
             # product is its own term and none is zero
-            left, right = self.terms, other.terms
-            prod = {u + v: a * b for u, a in left.items() for v, b in right.items()}
-            # a product of factors that hold only ints holds only ints
-            if Fraction in {*map(type, left.values()), *map(type, right.values())}:
-                prod = normalized(prod)
-            return Poly._wrap(prod)
+            right = other.terms.items()
+            return Poly._wrap(
+                normalized({u + v: a * b for u, a in self.terms.items() for v, b in right})
+            )
         return self._product(other, add)
 
     def __repr__(self) -> str:

@@ -28,17 +28,34 @@ def all_words(max_len, include_empty=True):
     return words
 
 
+def treealg_modules():
+    """The imported modules of treealg, the package among them."""
+    return [
+        module for name, module in list(sys.modules.items())
+        if name == "treealg" or name.startswith("treealg.")
+    ]
+
+
 def treealg_caches():
     """Every cached function and word table in the imported treealg modules,
     found by its ``cache_clear`` attribute (a class that defines one is not
     a cache), once each (the package re-exports some)."""
     return list({
         id(obj): obj
-        for name, module in list(sys.modules.items())
-        if name == "treealg" or name.startswith("treealg.")
+        for module in treealg_modules()
         for obj in vars(module).values()
         if hasattr(obj, "cache_clear") and not isinstance(obj, type)
     }.values())
+
+
+def patch_every_binding(monkeypatch, obj, replacement):
+    """Bind ``replacement`` for the test wherever a treealg module binds
+    ``obj``: the package re-exports names, and a module that imported a
+    function calls it by its own binding."""
+    for module in treealg_modules():
+        for attr, value in list(vars(module).items()):
+            if value is obj:
+                monkeypatch.setattr(module, attr, replacement)
 
 
 def clear_caches():

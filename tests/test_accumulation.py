@@ -51,6 +51,7 @@ from conftest import (
     clear_caches,
     follows_coefficient_rule,
     forests_up_to,
+    patch_every_binding,
     treealg_caches,
 )
 
@@ -634,13 +635,9 @@ class TestInternedWords:
                 return out
             return functools.cache(record)
 
-        memos = {id(fn): recording(fn.__wrapped__)
-                 for fn in treealg_caches() if hasattr(fn, "__wrapped__")}
-        for name, module in list(sys.modules.items()):
-            if name == "treealg" or name.startswith("treealg."):
-                for attr, obj in list(vars(module).items()):
-                    if id(obj) in memos:
-                        monkeypatch.setattr(module, attr, memos[id(obj)])
+        for fn in treealg_caches():
+            if hasattr(fn, "__wrapped__"):
+                patch_every_binding(monkeypatch, fn, recording(fn.__wrapped__))
         for m in range(1, 6):
             for n in range(1, 7 - m):
                 assert verify_fmn(m, n).all_ok

@@ -1,5 +1,4 @@
 import importlib
-import sys
 
 import pytest
 
@@ -24,7 +23,7 @@ from treealg import (
 from treealg.lincomb import add_into
 from treealg.words import ONE, Poly, Y, coefficient_list
 
-from conftest import clear_caches
+from conftest import clear_caches, patch_every_binding
 
 relations = importlib.import_module("treealg.relations")
 # the package attribute treealg.diamond is the function, not the module
@@ -161,23 +160,23 @@ class TestSharedPairForests:
     def test_second_sweep_builds_no_forest(self, monkeypatch):
         # after one sweep over m+n <= 8, a second one reads every (i, j)
         # from the cache, grafts nothing (every binding of bplus counts its
-        # calls) and interns no new tree or forest
+        # calls) and interns no new tree or forest; (i, j) and (j, i) share
+        # one entry
         calls = []
 
         def counting(f):
             calls.append(None)
             return bplus(f)
 
-        for name, module in list(sys.modules.items()):
-            if name == "treealg" or name.startswith("treealg."):
-                for attr, obj in list(vars(module).items()):
-                    if obj is bplus:
-                        monkeypatch.setattr(module, attr, counting)
+        patch_every_binding(monkeypatch, bplus, counting)
         clear_caches()
         first = [build_fmn(m, n) for m, n in all_pairs(8)]
         assert calls
         calls.clear()
         info = relations._pair_forests.cache_info()
+        unordered = {(min(i, j), max(i, j)) for m, n in all_pairs(8)
+                     for i in range(m) for j in range(n)}
+        assert info.currsize == len(unordered)
         pools = len(Forest._pool), len(Tree._pool)
         assert [build_fmn(m, n) for m, n in all_pairs(8)] == first
         after = relations._pair_forests.cache_info()
@@ -285,15 +284,7 @@ class TestWordRouteRightHandSide:
             calls.append(None)
             return dense(cv, cw)
 
-        bound = [
-            (module, attr)
-            for name, module in list(sys.modules.items())
-            if name == "treealg" or name.startswith("treealg.")
-            for attr, obj in list(vars(module).items())
-            if obj is dense
-        ]
-        for module, attr in bound:
-            monkeypatch.setattr(module, attr, counting)
+        patch_every_binding(monkeypatch, dense, counting)
         for m, n in [(2, 3), (3, 3), (4, 2), (3, 5)]:
             clear_caches()
             assert sigma(build_fmn(m, n)).is_zero()
